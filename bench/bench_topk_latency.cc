@@ -1,22 +1,26 @@
-// Scalar vs. batched TopK latency across every store backend.
+// One-at-a-time vs. batched lookup latency across every store backend.
 //
 // The interactive loop (§2.2) is bounded by per-iteration lookup latency;
-// this bench measures what the batched engine buys: TopKBatch streams each
-// row block through the cache once for all queries (ExactStore), scores all
-// centroids in one blocked pass (IvfFlatIndex), and fans independent
-// traversals across a pool (AnnoyIndex). Scalar mode is the same k and seen
-// set issued one TopK per query.
+// this bench measures what batching buys: TopKBatch streams each row block
+// through the cache once for all queries (ExactStore), scores all centroids
+// in one blocked pass (IvfFlatIndex), and fans independent traversals
+// across a pool (AnnoyIndex). The "scalar" columns time the same k and seen
+// set issued one TopK per query — and TopK is itself a batch of one through
+// TopKBatch with no pool, so scalar mode is a loop of batch-of-one calls
+// and at --batches=1 it measures the per-call cost of the one scan path.
 //
 //   ./bench_topk_latency [--n=20000] [--dim=128] [--k=100] [--warmup=1]
 //                        [--iters=5] [--threads=0] [--seen=0.1]
 //                        [--batches=1,4,8,16] [--shards=1,2,4,8]
 //                        [--min-shard-rows=4096] [--csv] [--json]
 //
-// Every (backend, batch) cell also verifies batched == scalar results, so
-// the bench doubles as a parity check at scale. --shards adds one
-// "sharded" backend row per shard count (a ShardedStore over the same
-// table, verified bitwise against the exact store before timing), recording
-// the shard-scaling curve. Requested shard counts pass through the
+// Every (backend, batch) cell first verifies the pooled batch bitwise
+// against a reference, so the bench doubles as a parity check at scale: the
+// exact backends (exact, sharded) against single queries on the unsharded
+// ExactStore, the approximate ones (ivf, annoy) against their own single
+// queries (batching independence). --shards adds one "sharded" backend row
+// per shard count (a ShardedStore over the same table), recording the
+// shard-scaling curve. Requested shard counts pass through the
 // min_rows_per_shard floor (--min-shard-rows, default 4096): small tables
 // fall back to fewer shards, because below a few thousand rows per shard
 // the fixed per-shard costs make sharding a slowdown — rows record both the
@@ -154,17 +158,19 @@ struct Cell {
 };
 
 Cell MeasureBackend(const store::VectorStore& store,
+                    const store::VectorStore& reference,
                     const std::vector<linalg::VectorF>& queries,
                     const store::SeenSet& seen, const LatencyArgs& args,
                     ThreadPool* pool) {
   std::vector<linalg::VecSpan> spans(queries.begin(), queries.end());
   auto queries_span = std::span<const linalg::VecSpan>(spans);
 
-  // Parity first: the measured paths must agree exactly.
+  // Parity first: the pooled batch must equal the reference exactly.
   auto batched = store.TopKBatch(queries_span, args.k, seen, pool);
   for (size_t q = 0; q < spans.size(); ++q) {
-    SEESAW_CHECK(SameResults(batched[q], store.TopK(spans[q], args.k, seen)))
-        << "TopKBatch diverged from TopK at query " << q;
+    SEESAW_CHECK(
+        SameResults(batched[q], reference.TopK(spans[q], args.k, seen)))
+        << "TopKBatch diverged from the reference at query " << q;
   }
 
   // Keep the optimizer honest without asserting non-empty results: a fully
@@ -231,14 +237,16 @@ int Run(int argc, char** argv) {
   struct Backend {
     const char* name;
     const store::VectorStore* store;
+    const store::VectorStore* reference;  // what the parity check trusts
     size_t shards = 0;            // effective count; 0 = not sharded
     size_t requested_shards = 0;  // what the flag asked for
   };
-  std::vector<Backend> backends = {
-      {"exact", &*exact}, {"ivf", &*ivf}, {"annoy", &*annoy}};
+  std::vector<Backend> backends = {{"exact", &*exact, &*exact},
+                                   {"ivf", &*ivf, &*ivf},
+                                   {"annoy", &*annoy, &*annoy}};
 
   // The --shards axis: one ShardedStore per count over the same table,
-  // verified bitwise against the exact store before any timing. The
+  // checked bitwise against the unsharded exact store in every cell. The
   // min_rows_per_shard floor may fall back to fewer effective shards on
   // small tables; rows record both counts.
   std::vector<std::unique_ptr<store::ShardedStore>> sharded_stores;
@@ -248,28 +256,12 @@ int Run(int argc, char** argv) {
     sharded_options.min_rows_per_shard = args.min_shard_rows;
     auto sharded = store::ShardedStore::Create(table, sharded_options);
     SEESAW_CHECK(sharded.ok());
-    // Parity probes draw from their own stream so the measured query
-    // sequence is identical with or without the --shards axis.
-    Rng probe_rng(47);
-    std::vector<linalg::VectorF> probe;
-    for (int i = 0; i < 4; ++i) {
-      linalg::VectorF q(args.dim);
-      for (float& v : q) v = static_cast<float>(probe_rng.Gaussian());
-      linalg::NormalizeInPlace(linalg::MutVecSpan(q.data(), q.size()));
-      probe.push_back(std::move(q));
-    }
-    for (const auto& q : probe) {
-      auto got = sharded->TopK(q, args.k, seen);
-      auto want = exact->TopK(q, args.k, seen);
-      SEESAW_CHECK(SameResults(got, want))
-          << "ShardedStore(" << count << ") diverged from ExactStore";
-    }
     sharded_stores.push_back(
         std::make_unique<store::ShardedStore>(std::move(*sharded)));
     // Record the effective count: Create clamps num_shards to the row
     // count and the per-shard floor, and the committed baseline must
     // describe what actually ran.
-    backends.push_back({"sharded", sharded_stores.back().get(),
+    backends.push_back({"sharded", sharded_stores.back().get(), &*exact,
                         sharded_stores.back()->num_shards(), count});
   }
 
@@ -292,7 +284,8 @@ int Run(int argc, char** argv) {
   for (const Backend& backend : backends) {
     for (size_t batch : args.batches) {
       auto queries = make_queries(batch);
-      Cell cell = MeasureBackend(*backend.store, queries, seen, args, &pool);
+      Cell cell = MeasureBackend(*backend.store, *backend.reference, queries,
+                                 seen, args, &pool);
       double qps = cell.batched_ms > 0
                        ? static_cast<double>(batch) / (cell.batched_ms / 1e3)
                        : 0.0;

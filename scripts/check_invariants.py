@@ -7,10 +7,17 @@ break. Run from anywhere (the repo root is derived from this file's
 location); exits 0 when clean, 1 with one line per violation otherwise.
 
 Rules
-  scan-control      Every TopK/TopKBatch override in src/store must thread
-                    store::ScanControl — the in-scan cancellation seam (PR 4)
-                    that a new backend could quietly drop, turning cancelled
-                    speculations back into run-to-completion scans.
+  scan-control      Every TopK/TopKBatch override anywhere in src/ (local
+                    backends in src/store, remote ones in src/net) must
+                    thread store::ScanControl — the in-scan cancellation
+                    seam that a new backend could quietly drop, turning
+                    cancelled speculations back into run-to-completion
+                    scans.
+  single-scan-path  No TopK override in src/ or tools/: TopKBatch is the one
+                    scan path every backend implements, and VectorStore::TopK
+                    is a batch of one over it. A backend-specific TopK would
+                    bring back the second path (and the parity tests it
+                    needs) that the one-path design deleted.
   raw-threading     No raw std::thread / std::mutex / std::condition_variable
                     / lock_guard / unique_lock / scoped_lock / detach() in
                     src outside common/ (and none anywhere in bench/ or
@@ -96,9 +103,20 @@ _TOPK_SIG = re.compile(
 )
 
 
+def _sources(root: Path, dirs: tuple[str, ...]):
+    """Yields every .h/.cc/.cpp file under root/<dir> for each dir."""
+    for d in dirs:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix in (".h", ".cc", ".cpp"):
+                yield path
+
+
 def check_scan_control(root: Path) -> list[str]:
     errors = []
-    for path in sorted((root / "src" / "store").glob("*.h")):
+    for path in _sources(root, ("src",)):
         text = _strip_comments(path.read_text())
         for m in _TOPK_SIG.finditer(text):
             name, params = m.group(1), m.group(2)
@@ -109,6 +127,27 @@ def check_scan_control(root: Path) -> list[str]:
                     f"{name} override does not take a store::ScanControl — "
                     "in-scan cancellation would be dropped for this backend"
                 )
+    return errors
+
+
+# ----------------------------------------------------------- single-scan-path
+# A TopK (not TopKBatch) override: the scalar second path.
+_TOPK_OVERRIDE = re.compile(
+    r"\bTopK\s*\([^;{]*?\)\s*(?:const\s*)?override", re.DOTALL
+)
+
+
+def check_single_scan_path(root: Path) -> list[str]:
+    errors = []
+    for path in _sources(root, ("src", "tools")):
+        text = _strip_comments(path.read_text())
+        for m in _TOPK_OVERRIDE.finditer(text):
+            line = text[: m.start()].count("\n") + 1
+            errors.append(
+                f"{path.relative_to(root)}:{line}: [single-scan-path] TopK "
+                "override — implement TopKBatch only; VectorStore::TopK is "
+                "already a batch of one over it"
+            )
     return errors
 
 
@@ -446,6 +485,7 @@ def check_bench_json(root: Path) -> list[str]:
 
 RULES = [
     check_scan_control,
+    check_single_scan_path,
     check_raw_threading,
     check_kernel_libm,
     check_net_sockets,
@@ -486,9 +526,11 @@ def self_test() -> int:
         # A miniature clean tree: every rule must pass on it.
         _write(
             root / "src/store/good_store.h",
-            "std::vector<SearchResult> TopK(linalg::VecSpan q, size_t k,\n"
-            "    const SeenSet& seen, const ScanControl& control)\n"
-            "    const override;\n",
+            "std::vector<std::vector<SearchResult>> TopKBatch(\n"
+            "    std::span<const linalg::VecSpan> q, size_t k,\n"
+            "    const SeenSet& seen, ThreadPool* pool,\n"
+            "    const ScanControl& control) const override;\n"
+            "// TopK(q, k, seen) const override; (comments never count)\n",
         )
         _write(root / "src/core/clean.cc", "int x = 0;  // std::mutex in comment\n")
         _write(
@@ -555,13 +597,31 @@ def self_test() -> int:
         if clean:
             failures.append(f"self-test clean tree not clean: {clean}")
 
-        # scan-control: an override that drops ScanControl.
+        # scan-control: a remote backend (src/net, outside src/store) whose
+        # override drops ScanControl.
         _write(
-            root / "src/store/bad_store.h",
-            "std::vector<SearchResult> TopK(linalg::VecSpan q, size_t k,\n"
-            "    const SeenSet& seen) const override;\n",
+            root / "src/net/bad_remote.h",
+            "std::vector<std::vector<SearchResult>> TopKBatch(\n"
+            "    std::span<const linalg::VecSpan> q, size_t k,\n"
+            "    const SeenSet& seen, ThreadPool* pool) const override;\n",
         )
         expect("scan-control", check_scan_control(root), "[scan-control]", True)
+
+        # single-scan-path: a tool-local decorator overriding TopK.
+        _write(
+            root / "tools/bad_decorator.cc",
+            "std::vector<SearchResult> TopK(linalg::VecSpan q, size_t k,\n"
+            "    const SeenSet& seen, const ScanControl& control)\n"
+            "    const override { return {}; }\n",
+        )
+        single_errors = check_single_scan_path(root)
+        expect("single-scan-path", single_errors, "[single-scan-path]", True)
+        if sum("[single-scan-path]" in e for e in single_errors) != 1:
+            failures.append(
+                f"self-test 'single-scan-path': expected exactly the 1 seeded "
+                f"violation (TopKBatch overrides must stay clean), got: "
+                f"{single_errors}"
+            )
 
         # raw-threading: a std::mutex outside common/.
         _write(root / "src/core/bad_mutex.cc", "static std::mutex mu;\n")

@@ -65,24 +65,18 @@ std::vector<ScoredImage> SearcherBase::ComputeTopImages(
     if (cancel != nullptr && cancel->cancelled()) return out;
     k = std::min(k, total);
     // Patches of seen images are excluded inside the store scan via the
-    // patch-level bitset; a shared pool (managed sessions) shards the scan.
-    // The cancellation token rides into the scan itself (store::ScanControl)
-    // so a cancelled speculation stops mid-scan — per row block / probed
-    // list — not just between k-doubling rounds. Both the batched and the
-    // scalar path checkpoint.
+    // patch-level bitset; a shared pool (managed sessions) shards the scan,
+    // and a null pool scans serially. The cancellation token rides into the
+    // scan itself (store::ScanControl) so a cancelled speculation stops
+    // mid-scan — per row block / probed list — not just between k-doubling
+    // rounds.
     store::ScanControl control;
     control.cancel = cancel;
+    linalg::VecSpan queries[] = {query};
+    std::vector<std::vector<store::SearchResult>> batch =
+        store.TopKBatch(queries, k, seen_patches, pool, control);
     std::vector<store::SearchResult> hits;
-    if (pool != nullptr) {
-      linalg::VecSpan queries[] = {query};
-      hits = std::move(store
-                           .TopKBatch(std::span<const linalg::VecSpan>(
-                                          queries, 1),
-                                      k, seen_patches, pool, control)
-                           .front());
-    } else {
-      hits = store.TopK(query, k, seen_patches, control);
-    }
+    if (!batch.empty()) hits = std::move(batch.front());
     // A cancelled scan returns partial hits; drop them (the caller discards
     // the whole speculation anyway) rather than let a truncated candidate
     // list masquerade as "store exhausted".

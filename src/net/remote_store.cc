@@ -166,37 +166,6 @@ StatusOr<std::string> RemoteStore::RoundTrip(
   }
 }
 
-std::vector<SearchResult> RemoteStore::TopK(
-    linalg::VecSpan query, size_t k, const SeenSet& seen,
-    const ScanControl& control) const {
-  if (control.ShouldStop()) return {};
-  net::StoreTopKRequest req;
-  req.query.assign(query.begin(), query.end());
-  req.k = static_cast<uint32_t>(k);
-  req.seen = seen;
-
-  MutexLock lock(mu_);
-  StatusOr<std::string> payload = RoundTrip(
-      net::FrameType::kStoreTopK, net::EncodeStoreTopKRequest(req),
-      control.cancel);
-  if (!payload.ok()) {
-    if (!payload.status().IsCancelled()) {
-      last_status_ = payload.status();
-      if (control.errors != nullptr) control.errors->Report(payload.status());
-    }
-    return {};
-  }
-  net::StoreTopKReply reply;
-  if (!net::DecodeStoreTopKReply(*payload, &reply)) {
-    Status bad = Status::IoError("StoreTopK reply malformed");
-    last_status_ = bad;
-    if (control.errors != nullptr) control.errors->Report(std::move(bad));
-    return {};
-  }
-  last_status_ = Status::OK();
-  return std::move(reply.results);
-}
-
 std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {

@@ -94,17 +94,13 @@ class RemoteStore : public VectorStore {
   size_t size() const override { return size_; }
   size_t dim() const override { return dim_; }
 
-  /// One kStoreTopK RPC. On failure reports to control.errors (when set)
-  /// and returns empty; on cancellation returns empty without reporting.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-
   /// One kStoreTopKBatch RPC — the whole batch crosses the wire in a
   /// single frame (the peer parallelizes on its own pool), so `pool` is
-  /// unused here. Failure/cancellation semantics as TopK; a failed batch
-  /// returns {} (size mismatch with the query count), which ShardedStore's
-  /// merge skips exactly like a cancelled shard.
+  /// unused here. On failure reports to control.errors (when set) and
+  /// returns {}; on cancellation returns {} without reporting. The empty
+  /// outer vector (size mismatch with the query count) is skipped by
+  /// ShardedStore's merge exactly like a cancelled shard, and the base
+  /// TopK turns it into an empty result list.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;

@@ -97,7 +97,7 @@ class SeeSawServer {
   SeeSawServer& operator=(const SeeSawServer&) = delete;
 
   /// Enables shard-serving store mode: store frames (kStoreInfo /
-  /// kStoreTopK / kStoreTopKBatch / kStoreGetVector) are answered against
+  /// kStoreTopKBatch / kStoreGetVector) are answered against
   /// `store` via a StoreFrameService on the handler pool; without this
   /// call they get kUnknownType. The session API stays live either way —
   /// one server can serve both. `store` must outlive the server. Call

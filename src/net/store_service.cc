@@ -1,5 +1,6 @@
 #include "net/store_service.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,6 @@ std::string ErrorFrame(uint64_t request_id, WireError code,
 bool StoreFrameService::IsStoreFrame(FrameType type) {
   switch (type) {
     case FrameType::kStoreInfo:
-    case FrameType::kStoreTopK:
     case FrameType::kStoreTopKBatch:
     case FrameType::kStoreGetVector:
       return true;
@@ -47,22 +47,6 @@ std::string StoreFrameService::HandleFrame(const FrameHeader& header,
                          EncodeStoreInfoReply(reply));
     }
 
-    case FrameType::kStoreTopK: {
-      StoreTopKRequest req;
-      if (!DecodeStoreTopKRequest(payload, &req)) {
-        return ErrorFrame(id, WireError::kMalformedFrame,
-                          "StoreTopK payload malformed");
-      }
-      if (req.query.size() != store_.dim()) {
-        return ErrorFrame(id, WireError::kInvalidArgument,
-                          "query dimension does not match the store");
-      }
-      StoreTopKReply reply;
-      reply.results = store_.TopK(req.query, req.k, req.seen);
-      return EncodeFrame(FrameType::kStoreTopKReply, id,
-                         EncodeStoreTopKReply(reply));
-    }
-
     case FrameType::kStoreTopKBatch: {
       StoreTopKBatchRequest req;
       if (!DecodeStoreTopKBatchRequest(payload, &req)) {
@@ -78,8 +62,12 @@ std::string StoreFrameService::HandleFrame(const FrameHeader& header,
         }
         spans.emplace_back(q);
       }
+      // k comes from outside: clamp it before the scan sizes anything by it
+      // (heaps reserve k slots). No store returns more than size() hits, so
+      // the clamp never changes a reply.
+      const size_t k = std::min<size_t>(req.k, store_.size());
       StoreTopKBatchReply reply;
-      reply.results = store_.TopKBatch(spans, req.k, req.seen, pool_);
+      reply.results = store_.TopKBatch(spans, k, req.seen, pool_);
       return EncodeFrame(FrameType::kStoreTopKBatchReply, id,
                          EncodeStoreTopKBatchReply(reply));
     }

@@ -1,6 +1,6 @@
 // StoreFrameService: the shard-serving request handler, socket-free.
 //
-// Maps one decoded store frame (kStoreInfo / kStoreTopK / kStoreTopKBatch /
+// Maps one decoded store frame (kStoreInfo / kStoreTopKBatch /
 // kStoreGetVector) to the bytes of its complete reply frame — the matching
 // reply type on success, a typed kError frame otherwise. SeeSawServer's
 // store mode routes frames here from its handler pool; the fault-injection
@@ -36,7 +36,8 @@ class StoreFrameService {
   /// Answers one store request frame: returns the encoded reply frame
   /// (header + payload), echoing header.request_id. Malformed payloads get
   /// kMalformedFrame, dimension mismatches kInvalidArgument, out-of-range
-  /// GetVector ids kNotFound, non-store frame types kUnknownType.
+  /// GetVector ids kNotFound, non-store frame types kUnknownType. A lookup's
+  /// k is clamped to the store size before the scan.
   std::string HandleFrame(const FrameHeader& header,
                           std::string_view payload) const;
 

@@ -373,31 +373,6 @@ bool DecodeStoreInfoReply(std::string_view payload, StoreInfoReply* msg) {
   return r.U64(&msg->size) && r.U32(&msg->dim) && r.Exhausted();
 }
 
-std::string EncodeStoreTopKRequest(const StoreTopKRequest& msg) {
-  WireWriter w;
-  EncodeVector(w, msg.query);
-  w.U32(msg.k);
-  EncodeSeenSet(w, msg.seen);
-  return w.Take();
-}
-
-bool DecodeStoreTopKRequest(std::string_view payload, StoreTopKRequest* msg) {
-  WireReader r(payload);
-  return DecodeVector(r, &msg->query) && r.U32(&msg->k) &&
-         DecodeSeenSet(r, &msg->seen) && r.Exhausted();
-}
-
-std::string EncodeStoreTopKReply(const StoreTopKReply& msg) {
-  WireWriter w;
-  EncodeResults(w, msg.results);
-  return w.Take();
-}
-
-bool DecodeStoreTopKReply(std::string_view payload, StoreTopKReply* msg) {
-  WireReader r(payload);
-  return DecodeResults(r, &msg->results) && r.Exhausted();
-}
-
 std::string EncodeStoreTopKBatchRequest(const StoreTopKBatchRequest& msg) {
   WireWriter w;
   w.U32(static_cast<uint32_t>(msg.queries.size()));

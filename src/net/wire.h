@@ -64,7 +64,8 @@ enum class FrameType : uint16_t {
   // bits intact, which is what makes remote-vs-local scans bitwise
   // comparable. Types are wire contract — append, never renumber.
   kStoreInfo = 7,
-  kStoreTopK = 8,
+  // 8 was kStoreTopK (a single-query lookup, retired: a single query is a
+  // kStoreTopKBatch of one). Never reuse it; peers answer it kUnknownType.
   kStoreTopKBatch = 9,
   kStoreGetVector = 10,
 
@@ -75,7 +76,6 @@ enum class FrameType : uint16_t {
   kCloseSessionReply = kCloseSession | kReplyBit,
   kPingReply = kPing | kReplyBit,
   kStoreInfoReply = kStoreInfo | kReplyBit,
-  kStoreTopKReply = kStoreTopK | kReplyBit,
   kStoreTopKBatchReply = kStoreTopKBatch | kReplyBit,
   kStoreGetVectorReply = kStoreGetVector | kReplyBit,
 
@@ -222,29 +222,19 @@ struct StoreInfoReply {
   uint32_t dim = 0;   ///< their dimensionality
 };
 
-/// One scalar lookup against the peer's store. The seen set is the
-/// shard-local Slice the sharded caller already computes — capacity plus
-/// raw bit words (SeenSet::words()), so the peer reconstructs exactly the
-/// exclusion view a local child store would have been handed.
-struct StoreTopKRequest {
-  linalg::VectorF query;
-  uint32_t k = 0;
-  store::SeenSet seen;
-};
-
-/// Hits in canonical order, float bits intact (see FrameType::kStoreTopK).
-struct StoreTopKReply {
-  std::vector<store::SearchResult> results;
-};
-
-/// Batched lookup: the whole query batch in one frame, one result list per
-/// query in the reply. results[i] corresponds to queries[i].
+/// A lookup against the peer's store: the whole query batch in one frame,
+/// one result list per query in the reply. The seen set is the shard-local
+/// Slice the sharded caller already computes — capacity plus raw bit words
+/// (SeenSet::words()), so the peer reconstructs exactly the exclusion view
+/// a local child store would have been handed.
 struct StoreTopKBatchRequest {
   std::vector<linalg::VectorF> queries;
   uint32_t k = 0;
   store::SeenSet seen;
 };
 
+/// results[i] answers queries[i]: hits in canonical order, float bits
+/// intact.
 struct StoreTopKBatchReply {
   std::vector<std::vector<store::SearchResult>> results;
 };
@@ -296,11 +286,6 @@ bool DecodeErrorReply(std::string_view payload, ErrorReply* msg);
 
 std::string EncodeStoreInfoReply(const StoreInfoReply& msg);
 bool DecodeStoreInfoReply(std::string_view payload, StoreInfoReply* msg);
-
-std::string EncodeStoreTopKRequest(const StoreTopKRequest& msg);
-bool DecodeStoreTopKRequest(std::string_view payload, StoreTopKRequest* msg);
-std::string EncodeStoreTopKReply(const StoreTopKReply& msg);
-bool DecodeStoreTopKReply(std::string_view payload, StoreTopKReply* msg);
 
 std::string EncodeStoreTopKBatchRequest(const StoreTopKBatchRequest& msg);
 bool DecodeStoreTopKBatchRequest(std::string_view payload,

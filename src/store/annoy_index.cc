@@ -131,9 +131,9 @@ int32_t AnnoyIndex::BuildSubtree(std::vector<uint32_t>& items, size_t begin,
   return static_cast<int32_t>(nodes_.size() - 1);
 }
 
-std::vector<SearchResult> AnnoyIndex::TopK(VecSpan query, size_t k,
-                                           const SeenSet& seen,
-                                           const ScanControl& control) const {
+std::vector<SearchResult> AnnoyIndex::QueryOne(
+    VecSpan query, size_t k, const SeenSet& seen,
+    const ScanControl& control) const {
   SEESAW_CHECK_EQ(query.size(), vectors_.cols());
   if (control.ShouldStop()) return {};
   const size_t d = vectors_.cols();
@@ -201,7 +201,7 @@ std::vector<std::vector<SearchResult>> AnnoyIndex::TopKBatch(
   std::vector<std::vector<SearchResult>> out(queries.size());
   auto run_query = [&](size_t q) {
     if (control.ShouldStop()) return;
-    out[q] = TopK(queries[q], k, seen, control);
+    out[q] = QueryOne(queries[q], k, seen, control);
   };
   if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
     pool->ParallelFor(queries.size(), [&](size_t begin, size_t end) {

@@ -41,19 +41,11 @@ class AnnoyIndex : public VectorStore {
   size_t size() const override { return vectors_.rows(); }
   size_t dim() const override { return vectors_.cols(); }
 
-  /// Scalar lookup. One forest traversal is the natural scan unit here (the
-  /// batched path checkpoints per query), so cancellation is checkpointed
-  /// twice: before the traversal and before the exact candidate-scoring
-  /// pass.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-  using VectorStore::TopK;
-
   /// Tree traversals are independent per query, so the batch simply fans
-  /// queries out across the pool (exact per-query parity by construction).
-  /// Cancellation is checkpointed per query (each query is one independent
-  /// forest traversal — the natural unit here).
+  /// queries out across the pool (results independent of the pool by
+  /// construction). Cancellation is checkpointed per query (each query is
+  /// one independent forest traversal — the natural unit here) and twice
+  /// inside it (see QueryOne).
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
@@ -84,6 +76,13 @@ class AnnoyIndex : public VectorStore {
 
   AnnoyIndex(AnnoyOptions options, linalg::MatrixF vectors)
       : options_(options), vectors_(std::move(vectors)) {}
+
+  /// One query's lookup: best-first forest traversal, then exact scoring of
+  /// the candidates. Cancellation is checkpointed before the traversal and
+  /// before the candidate-scoring pass.
+  std::vector<SearchResult> QueryOne(linalg::VecSpan query, size_t k,
+                                     const SeenSet& seen,
+                                     const ScanControl& control) const;
 
   /// Recursively builds the subtree over items[begin, end); returns node id.
   int32_t BuildSubtree(std::vector<uint32_t>& items, size_t begin, size_t end,

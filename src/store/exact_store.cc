@@ -1,6 +1,7 @@
 #include "store/exact_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -45,6 +46,23 @@ inline bool AnyCandidate(const float* scores, const float* thresholds,
   return false;
 }
 
+/// First id in [from, limit) whose seen bit is `want_seen`, or limit —
+/// found a word at a time. Ids past the set's capacity read as unseen,
+/// exactly like SeenSet::Test.
+inline size_t FindRow(const SeenSet& seen, size_t from, size_t limit,
+                      bool want_seen) {
+  const std::vector<uint64_t>& words = seen.words();
+  const uint64_t flip = want_seen ? 0 : ~uint64_t{0};
+  for (size_t i = from; i < limit; i = (i | 63) + 1) {
+    if (i >= seen.capacity()) return want_seen ? limit : i;
+    const uint64_t bits = (words[i >> 6] ^ flip) >> (i & 63);
+    if (bits != 0) {
+      return std::min(limit, i + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+  return limit;
+}
+
 }  // namespace
 
 StatusOr<ExactStore> ExactStore::Create(linalg::MatrixF vectors) {
@@ -72,49 +90,6 @@ void ExactStore::BindStorageToNode(size_t node) {
     numa::BindMemoryToNode(quantized_.scales.data(),
                            quantized_.scales.size() * sizeof(float), node);
   }
-}
-
-std::vector<SearchResult> ExactStore::TopK(linalg::VecSpan query, size_t k,
-                                           const SeenSet& seen,
-                                           const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), vectors_.cols());
-  TopKHeap heap(k);
-  const size_t n = vectors_.rows();
-  const size_t dim = vectors_.cols();
-  // Checkpoint every kRowBlock rows — the same stride the batched scan
-  // checkpoints at — so a cancelled speculative lookup on the scalar path
-  // stops mid-table too. The checkpoints do not affect scoring or order:
-  // an uncancelled scan returns exactly the pre-control result.
-  if (options_.precision == ScanPrecision::kInt8) {
-    // Quantize the query once; per-pair scoring follows the int8 family's
-    // fixed spec (combined = row_scale * query_scale, then one multiply), so
-    // the scalar lookup is bitwise equal to the batched int8 scan.
-    const linalg::QuantizedVector q = linalg::QuantizeQuery(query);
-    const linalg::Int8KernelTable& kernels = linalg::ActiveInt8Kernels();
-    for (size_t block = 0; block < n; block += kRowBlock) {
-      if (control.ShouldStop()) break;
-      const size_t block_end = std::min(n, block + kRowBlock);
-      for (size_t i = block; i < block_end; ++i) {
-        uint32_t id = static_cast<uint32_t>(i);
-        if (seen.Test(id)) continue;
-        const int32_t acc =
-            kernels.dot_i32(quantized_.Row(i), q.data.data(), dim);
-        const float combined = quantized_.scale(i) * q.scale;
-        heap.Push(id, static_cast<float>(acc) * combined);
-      }
-    }
-    return heap.TakeSorted();
-  }
-  for (size_t block = 0; block < n; block += kRowBlock) {
-    if (control.ShouldStop()) break;
-    const size_t block_end = std::min(n, block + kRowBlock);
-    for (size_t i = block; i < block_end; ++i) {
-      uint32_t id = static_cast<uint32_t>(i);
-      if (seen.Test(id)) continue;
-      heap.Push(id, linalg::Dot(vectors_.Row(i), query));
-    }
-  }
-  return heap.TakeSorted();
 }
 
 std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
@@ -146,6 +121,7 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   std::span<int8_t> qdata;
   std::span<float> qscales;
   const linalg::Int8KernelTable* int8_kernels = nullptr;
+  const linalg::KernelTable& fp32_kernels = linalg::ActiveKernels();
   if (int8) {
     int8_kernels = &linalg::ActiveInt8Kernels();
     qdata = call_scratch->Alloc<int8_t>(num_queries * dim);
@@ -156,11 +132,12 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     }
   }
 
-  // Scan policy: once most rows are seen, enumerating the unseen set as
-  // run-length compacted intervals beats testing every row bit-by-bit. The
-  // intervals are exactly the blocks the skip-test loop produces, so both
-  // policies score the same blocks in the same order (bitwise-identical
-  // results, same cancellation checkpoints — one per scored block).
+  // Scan policy: once most rows are seen, the unseen set is enumerated up
+  // front as run-length compacted intervals instead of run by run as the
+  // scan goes. The intervals are exactly the blocks the streaming walk
+  // produces, so both policies score the same blocks in the same order
+  // (bitwise-identical results, same cancellation checkpoints — one per
+  // scored block).
   const bool compact_scan =
       static_cast<double>(seen.count()) >=
       options_.compact_seen_fraction * static_cast<double>(n);
@@ -231,9 +208,11 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
                                   dim, qdata.data(), qscales.data(),
                                   num_queries, scores.data());
       } else {
-        vectors_.ScoreBlock(
-            r, run_end, queries,
-            linalg::MutVecSpan(scores.data(), (run_end - r) * num_queries));
+        // The kernel MatrixF::ScoreBlock dispatches to, minus its per-call
+        // argument checks: runs are short, and the queries were checked
+        // once above.
+        fp32_kernels.score_block(vectors_.Row(r).data(), run_end - r, dim,
+                                 queries.data(), num_queries, scores.data());
       }
       for (size_t row = r; row < run_end; ++row) {
         const float* row_scores = scores.data() + (row - r) * num_queries;
@@ -247,10 +226,10 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
         }
       }
     };
-    // Seen rows are skipped before scoring (exactly like the scalar scan):
-    // blocks are maximal unseen runs, capped at kRowBlock rows. Each block
-    // is a cancellation checkpoint: a cancelled scan abandons the rest of
-    // this shard's rows (partial heaps; the caller discards them).
+    // Seen rows are skipped before scoring: blocks are maximal unseen runs,
+    // capped at kRowBlock rows. Each block is a cancellation checkpoint: a
+    // cancelled scan abandons the rest of this shard's rows (partial heaps;
+    // the caller discards them).
     if (compact_scan) {
       std::vector<std::pair<uint32_t, uint32_t>> runs;
       seen.AppendUnseenRuns(static_cast<uint32_t>(begin),
@@ -261,20 +240,15 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
       }
       return;
     }
-    size_t r = begin;
-    while (r < end) {
-      if (seen.Test(static_cast<uint32_t>(r))) {
-        ++r;
-        continue;
-      }
+    // Run bounds come a seen-bitmap word at a time, not a row at a time:
+    // per-row tests cost single-query scans of tables larger than cache a
+    // few percent (one mispredicted branch at every run edge).
+    for (size_t r = FindRow(seen, begin, end, false); r < end;) {
       if (control.ShouldStop()) return;
-      size_t run_end = r + 1;
-      while (run_end < end && run_end - r < kRowBlock &&
-             !seen.Test(static_cast<uint32_t>(run_end))) {
-        ++run_end;
-      }
+      const size_t run_end =
+          FindRow(seen, r + 1, std::min(end, r + kRowBlock), true);
       score_run(r, run_end);
-      r = run_end;
+      r = FindRow(seen, run_end, end, false);
     }
   };
 
@@ -287,7 +261,7 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   }
 
   // Merge per-shard heaps: the global top-k under BetterResult is unique, so
-  // the result matches the single-shard (and single-query) scan exactly.
+  // the result matches the single-shard scan exactly.
   std::vector<std::vector<SearchResult>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     if (num_shards == 1) {
@@ -299,11 +273,7 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
       const auto& items = heaps[shard].padded.value[q].items();
       merged.insert(merged.end(), items.begin(), items.end());
     }
-    size_t keep = std::min(k, merged.size());
-    std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                      BetterResult);
-    merged.resize(keep);
-    out[q] = std::move(merged);
+    out[q] = MergeTopK(std::move(merged), k);
   }
   return out;
 }

@@ -15,17 +15,17 @@ namespace seesaw::store {
 struct ExactStoreOptions {
   /// Scan representation. kInt8 builds a quantized copy of the table at
   /// Create (the fp32 master is retained — GetVector()/vectors() always
-  /// serve full precision) and scores TopK/TopKBatch through the int8
+  /// serve full precision) and scores every lookup through the int8
   /// kernel family. See ScanPrecision for the cross-family contract.
   ScanPrecision precision = ScanPrecision::kFloat32;
 
-  /// Batched scans switch from per-row seen tests to the run-length
+  /// Scans switch from finding unseen runs as they go to the run-length
   /// compacted unseen enumeration (SeenSet::AppendUnseenRuns) once
   /// seen.count() >= compact_seen_fraction * rows. Both enumerations score
   /// the same blocks in the same order, so results are bitwise identical —
-  /// this is purely a scan-policy knob (the compacted walk skips long seen
-  /// stretches word-at-a-time instead of bit-by-bit). Values > 1.0 disable
-  /// compaction; 0.0 always compacts.
+  /// this is purely a scan-policy knob (both walk the seen bitmap a word at
+  /// a time; the compacted walk lists every run before scoring). Values >
+  /// 1.0 disable compaction; 0.0 always compacts.
   double compact_seen_fraction = 0.5;
 };
 
@@ -42,13 +42,6 @@ class ExactStore : public VectorStore {
 
   size_t size() const override { return vectors_.rows(); }
   size_t dim() const override { return vectors_.cols(); }
-
-  /// Scalar scan; cancellation is checkpointed per row block, same
-  /// granularity as the batched path.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-  using VectorStore::TopK;
 
   /// Batched exact scan: each cache-resident row block is scored against
   /// every query at once (linalg::MatrixF::ScoreBlock), and with a pool the

@@ -74,16 +74,6 @@ std::vector<SearchResult> IvfFlatIndex::ScanLists(
   return heap.TakeSorted();
 }
 
-std::vector<SearchResult> IvfFlatIndex::TopK(linalg::VecSpan query, size_t k,
-                                             const SeenSet& seen,
-                                             const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), vectors_.cols());
-  // Rank cells by centroid inner product (vectors are unit norm, so inner
-  // product ordering ~ distance ordering).
-  linalg::VectorF centroid_scores = centroids_.MatVec(query);
-  return ScanLists(query, RankCells(centroid_scores), k, seen, control);
-}
-
 std::vector<std::vector<SearchResult>> IvfFlatIndex::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {
@@ -92,7 +82,9 @@ std::vector<std::vector<SearchResult>> IvfFlatIndex::TopKBatch(
   for (linalg::VecSpan q : queries) SEESAW_CHECK_EQ(q.size(), vectors_.cols());
 
   // One blocked pass scores every centroid against every query
-  // (centroid_scores is num_lists x num_queries, row-major).
+  // (centroid_scores is num_lists x num_queries, row-major). Cells are
+  // ranked by centroid inner product (vectors are unit norm, so inner
+  // product ordering ~ distance ordering).
   const size_t num_cells = centroids_.rows();
   std::vector<float> centroid_scores(num_cells * num_queries);
   centroids_.ScoreBlock(

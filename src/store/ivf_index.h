@@ -36,13 +36,6 @@ class IvfFlatIndex : public VectorStore {
   size_t size() const override { return vectors_.rows(); }
   size_t dim() const override { return vectors_.cols(); }
 
-  /// Scalar lookup; cancellation is checkpointed per probed inverted list,
-  /// same granularity as the batched path.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-  using VectorStore::TopK;
-
   /// Batched lookup: centroids are scored against all queries in one blocked
   /// pass, then each query's probe lists are scanned — in parallel across
   /// queries when a pool is given. Cancellation is checkpointed per probed
@@ -67,8 +60,7 @@ class IvfFlatIndex : public VectorStore {
   size_t ProbeCount() const;
 
   /// The ProbeCount() best cells for a query given every cell's centroid
-  /// score, ranked by (score desc, cell id asc) — shared by the scalar and
-  /// batched paths so both probe identical lists.
+  /// score, ranked by (score desc, cell id asc).
   std::vector<uint32_t> RankCells(linalg::VecSpan centroid_scores) const;
 
   /// Exhaustive scan of `cells`' member lists under `seen`. Every probed

@@ -173,46 +173,6 @@ linalg::VecSpan ShardedStore::GetVector(uint32_t id) const {
   return shards_[s]->GetVector(local);
 }
 
-std::vector<SearchResult> ShardedStore::MergeTopK(
-    std::vector<SearchResult> merged, size_t k) {
-  // The global top-k under BetterResult is unique (ids are unique), so
-  // re-selecting from the union of exact per-shard top-ks reproduces the
-  // single-store result exactly.
-  const size_t keep = std::min(k, merged.size());
-  std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                    BetterResult);
-  merged.resize(keep);
-  return merged;
-}
-
-std::vector<SearchResult> ShardedStore::TopK(linalg::VecSpan query, size_t k,
-                                             const SeenSet& seen,
-                                             const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), dim_);
-  const size_t num_shards = shards_.size();
-  // Merge state is per-call and lock-free by partitioning: worker s writes
-  // only per_shard[s] (disjoint slots of a pre-sized vector), and the merge
-  // below reads them only after ParallelFor's latch — whose completion is
-  // mutex-published — so there is no concurrent access to annotate. The
-  // store object itself stays const throughout (scans share it freely).
-  std::vector<std::vector<SearchResult>> per_shard(num_shards);
-  auto scan_shard = [&](size_t s) {
-    // Checkpoint before the dispatch (shards not yet started are skipped
-    // outright once the token trips); the child checkpoints inside its own
-    // scalar scan.
-    if (control.ShouldStop()) return;
-    SeenSet local = seen.Slice(begin_[s], begin_[s + 1]);
-    per_shard[s] = shards_[s]->TopK(query, k, local, control);
-    for (SearchResult& hit : per_shard[s]) hit.id += begin_[s];
-  };
-  DispatchShards(pool_, scan_shard);
-  std::vector<SearchResult> merged;
-  for (const auto& hits : per_shard) {
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  return MergeTopK(std::move(merged), k);
-}
-
 std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {
@@ -223,9 +183,11 @@ std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
 
   const size_t num_shards = shards_.size();
   // per_shard[s][q]: local hits remapped to global ids. A shard skipped by
-  // cancellation leaves its slot empty (size() != num_queries). Same
-  // lock-free-by-partitioning merge state as TopK above: worker s owns slot
-  // s exclusively, readers run strictly after the ParallelFor latch.
+  // cancellation leaves its slot empty (size() != num_queries). Merge state
+  // is per-call and lock-free by partitioning: worker s writes only slot s
+  // (disjoint slots of a pre-sized vector), and the merge reads them only
+  // after the dispatch latch — whose completion is mutex-published — so
+  // there is no concurrent access to annotate.
   std::vector<std::vector<std::vector<SearchResult>>> per_shard(num_shards);
   auto scan_shard = [&](size_t s) {
     // Checkpoint before the dispatch so shards not yet started are skipped

@@ -1,5 +1,5 @@
 // ShardedStore: partitions the vector table itself across N child
-// VectorStores and serves TopK/TopKBatch by scatter-gather over the shards.
+// VectorStores and serves TopKBatch by scatter-gather over the shards.
 //
 // This is the seam ROADMAP's "lift ExactStore's internal scan shards into
 // separate stores" item asks for: where ExactStore::TopKBatch splits one
@@ -115,30 +115,18 @@ class ShardedStore : public VectorStore {
   size_t size() const override { return begin_.back(); }
   size_t dim() const override { return dim_; }
 
-  /// Scalar lookup: every shard is scanned (on the default pool when one is
-  /// set, serially otherwise) and the per-shard top-ks are merged under the
-  /// canonical order. Exactly equal to a single ExactStore's TopK.
-  /// Cancellation is checkpointed per shard dispatch and propagated into
-  /// each child's scalar scan, mirroring the batched path.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-  using VectorStore::TopK;
-
-  /// Batched lookup: fans the shards out on `pool` (each child may shard
-  /// its own scan on the same pool — nested ParallelFor is safe), slicing
-  /// the global seen set per shard and merging per-shard results. `control`
-  /// is propagated to every child and checkpointed per shard.
+  /// Batched lookup: fans the shards out on `pool` (serially when null; each
+  /// child may shard its own scan on the same pool — nested ParallelFor is
+  /// safe), slicing the global seen set per shard and merging per-shard
+  /// results with MergeTopK. Exactly equal to a single ExactStore's
+  /// TopKBatch. `control` is propagated to every child and checkpointed per
+  /// shard.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
   using VectorStore::TopKBatch;
 
   linalg::VecSpan GetVector(uint32_t id) const override;
-
-  /// Optional worker pool for the scalar TopK fan-out (TopKBatch takes its
-  /// pool per call). The pool must outlive the store. Null = serial shards.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   size_t num_shards() const { return shards_.size(); }
   const VectorStore& shard(size_t s) const { return *shards_[s]; }
@@ -177,17 +165,11 @@ class ShardedStore : public VectorStore {
   void DispatchShards(ThreadPool* pool,
                       const std::function<void(size_t)>& scan_shard) const;
 
-  /// Concatenates per-shard hits (already remapped to global ids) and keeps
-  /// the best k under the canonical order.
-  static std::vector<SearchResult> MergeTopK(
-      std::vector<SearchResult> merged, size_t k);
-
   std::vector<std::unique_ptr<VectorStore>> shards_;
   std::vector<uint32_t> begin_;  // size num_shards()+1, begin_[0] == 0
   size_t dim_ = 0;
   std::vector<size_t> shard_nodes_;  // size num_shards(), all 0 if unplaced
   bool numa_placed_ = false;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace seesaw::store

@@ -4,21 +4,6 @@
 
 namespace seesaw::store {
 
-std::vector<std::vector<SearchResult>> VectorStore::TopKBatch(
-    std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
-    ThreadPool* /*pool*/, const ScanControl& control) const {
-  // Serial fallback: correctness reference for the parallel overrides.
-  // This layer checkpoints once per query and additionally forwards the
-  // control into each scalar scan, which polls it at the backend's own
-  // checkpoints.
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (control.ShouldStop()) break;
-    out[i] = TopK(queries[i], k, seen, control);
-  }
-  return out;
-}
-
 double RecallAgainst(const std::vector<SearchResult>& got,
                      const std::vector<SearchResult>& truth) {
   if (truth.empty()) return 1.0;

@@ -6,12 +6,12 @@
 // carries more error than the index).
 //
 // Exclusions are expressed as a SeenSet bitset (O(1) branch-predictable test
-// in the innermost scan loop), and every backend serves both single queries
-// (TopK) and query batches (TopKBatch). Batched lookups may shard the work
-// across a ThreadPool and are guaranteed to return exactly what per-query
-// TopK would: all backends select with the same total order (score
-// descending, id ascending on ties), so results are unique and independent
-// of sharding.
+// in the innermost scan loop). Every backend implements exactly one lookup,
+// TopKBatch; a single query (TopK) is a batch of one. Batched lookups may
+// shard the work across a ThreadPool and return the same results however
+// they are sharded: all backends select with the same total order (score
+// descending, id ascending on ties), so the top-k of any candidate set is
+// unique.
 #ifndef SEESAW_STORE_VECTOR_STORE_H_
 #define SEESAW_STORE_VECTOR_STORE_H_
 
@@ -91,8 +91,9 @@ class ScanErrorCollector {
   size_t count_ SEESAW_GUARDED_BY(mu_) = 0;
 };
 
-/// In-scan control for batched lookups: cooperative cancellation plus a
-/// test-only checkpoint hook.
+/// In-scan control for every lookup (TopK is a batch of one, so there is
+/// one scan path to thread it through): cooperative cancellation, a
+/// test-only checkpoint hook, and the typed-failure channel.
 ///
 /// Backends poll ShouldStop() at natural scan checkpoints — per row block
 /// for the exact scan, per probed inverted list for IVF, per child shard
@@ -136,8 +137,8 @@ struct SearchResult {
 
 /// The canonical result order: higher score first, lower id breaking ties.
 /// Every backend selects and sorts with this order, which makes the exact
-/// top-k of any candidate set unique — the property the TopKBatch == TopK
-/// parity guarantee rests on.
+/// top-k of any candidate set unique — the property the sharding-independent
+/// and remote-vs-local parity guarantees rest on.
 inline bool BetterResult(const SearchResult& a, const SearchResult& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.id < b.id;
@@ -186,15 +187,28 @@ class TopKHeap {
   std::vector<SearchResult> heap_;
 };
 
+/// Concatenates per-shard hits (ids already global) and keeps the best k
+/// under BetterResult. Because the global top-k is unique, re-selecting from
+/// the union of exact per-shard top-ks reproduces the single-scan result
+/// exactly — the one cross-shard merge every scatter/gather scan uses.
+inline std::vector<SearchResult> MergeTopK(std::vector<SearchResult> merged,
+                                           size_t k) {
+  const size_t keep = std::min(k, merged.size());
+  std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
+                    BetterResult);
+  merged.resize(keep);
+  return merged;
+}
+
 /// Interface for max-inner-product stores.
 ///
-/// Contract for implementers: every TopK/TopKBatch override must take (and
-/// poll) the ScanControl — it is the only seam through which a cancelled
-/// speculation can stop a scan mid-flight. scripts/check_invariants.py
-/// enforces this shape on the overrides in src/store, so dropping the
-/// parameter in a new backend is a lint failure, not a silent regression.
-/// Stores are immutable after Create and safe for concurrent scans; any
-/// internal scratch must be per-call.
+/// Contract for implementers: a backend implements TopKBatch — the one scan
+/// path — and must take (and poll) the ScanControl there; it is the only
+/// seam through which a cancelled speculation can stop a scan mid-flight.
+/// scripts/check_invariants.py enforces this shape on every override in
+/// src/, and forbids TopK overrides outright, so a second scan path cannot
+/// creep back in. Stores are immutable after Create and safe for concurrent
+/// scans; any internal scratch must be per-call.
 class VectorStore {
  public:
   virtual ~VectorStore() = default;
@@ -205,40 +219,20 @@ class VectorStore {
   /// Vector dimensionality.
   virtual size_t dim() const = 0;
 
-  /// Returns up to k results with the largest inner product against `query`,
-  /// best first (see BetterResult), skipping ids marked in `seen`. Fewer
-  /// than k results are returned only when the store (after exclusions) is
-  /// smaller than k or the index exhausts its candidates.
-  ///
-  /// `control` threads cooperative cancellation into the scalar scan, at the
-  /// same checkpoints as the batched path (per row block for the exact scan,
-  /// per probed list for IVF, per shard for ShardedStore). Same contract as
-  /// TopKBatch: a cancelled call returns early with unspecified partial
-  /// results, which the caller must discard.
-  virtual std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                         const SeenSet& seen,
-                                         const ScanControl& control) const = 0;
-
-  /// Convenience overloads: no control / no exclusions.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen) const {
-    return TopK(query, k, seen, ScanControl{});
-  }
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k) const {
-    return TopK(query, k, EmptySeenSet(), ScanControl{});
-  }
-
-  /// Multi-query lookup: out[i] is exactly TopK(queries[i], k, seen). The
-  /// base implementation is the serial per-query fallback; backends override
-  /// it with batched kernels and, when `pool` is non-null, shard the work
-  /// across it. All sessions of a service share one pool, so implementations
-  /// must only use pool->ParallelFor (safe under concurrent callers).
+  /// Multi-query lookup: out[i] holds up to k results with the largest
+  /// inner product against queries[i], best first (see BetterResult),
+  /// skipping ids marked in `seen`. Fewer than k results are returned only
+  /// when the store (after exclusions) is smaller than k or the index
+  /// exhausts its candidates. When `pool` is non-null, implementations may
+  /// shard the work across it; all sessions of a service share one pool, so
+  /// they must only use pool->ParallelFor (safe under concurrent callers).
   /// `control` threads cooperative cancellation into the scan itself: every
   /// backend polls control.ShouldStop() at its checkpoints and returns early
-  /// (with unspecified partial results) once cancellation is observed.
+  /// (with unspecified partial results, possibly an empty outer vector) once
+  /// cancellation is observed.
   virtual std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
-      ThreadPool* pool, const ScanControl& control) const;
+      ThreadPool* pool, const ScanControl& control) const = 0;
 
   /// Convenience overloads: no control / no pool / no exclusions.
   std::vector<std::vector<SearchResult>> TopKBatch(
@@ -254,6 +248,29 @@ class VectorStore {
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k) const {
     return TopKBatch(queries, k, EmptySeenSet(), nullptr, ScanControl{});
+  }
+
+  /// Single-query lookup: a batch of one through TopKBatch with no pool.
+  /// A scan that returns no per-query list (a cancelled or failed remote
+  /// scan) yields {}. Virtual only so that decorators (e.g. timing
+  /// wrappers) can intercept it; backends never override it.
+  virtual std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
+                                         const SeenSet& seen,
+                                         const ScanControl& control) const {
+    const linalg::VecSpan queries[] = {query};
+    std::vector<std::vector<SearchResult>> out =
+        TopKBatch(queries, k, seen, nullptr, control);
+    if (out.empty()) return {};
+    return std::move(out.front());
+  }
+
+  /// Convenience overloads: no control / no exclusions.
+  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
+                                 const SeenSet& seen) const {
+    return TopK(query, k, seen, ScanControl{});
+  }
+  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k) const {
+    return TopK(query, k, EmptySeenSet(), ScanControl{});
   }
 
   /// Read access to vector `id`.

@@ -199,15 +199,16 @@ TEST(ScanScratchTest, WarmTopKBatchDoesNotGrowThePool) {
       << "pooled TopKBatch leases exceed peak concurrency: per-call growth";
   EXPECT_EQ(GlobalScanScratch().outstanding(), 0u);
 
-  // And the arena-backed batched path still equals the scalar path exactly
+  // And the arena-backed scan still equals the brute-force oracle exactly
   // (results bitwise identical — the fix must be invisible in outputs).
-  for (auto* store_ptr :
-       {&*int8_store, &*fp32_store}) {
+  for (auto* store_ptr : {&*int8_store, &*fp32_store}) {
     auto batched = store_ptr->TopKBatch(spans, 50, seen, &pool);
     ASSERT_EQ(batched.size(), spans.size());
     for (size_t qi = 0; qi < spans.size(); ++qi) {
-      ExpectIdenticalResults(batched[qi],
-                             store_ptr->TopK(spans[qi], 50, seen));
+      ExpectIdenticalResults(
+          batched[qi],
+          test_util::BruteForceTopK(table, spans[qi], 50, seen,
+                                    store_ptr->options().precision));
     }
   }
 }

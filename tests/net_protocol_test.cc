@@ -57,8 +57,6 @@ TEST(WireHeaderTest, ReplyBitConvention) {
             static_cast<uint16_t>(FrameType::kCreateSession) | kReplyBit);
   EXPECT_EQ(static_cast<uint16_t>(FrameType::kStoreInfoReply),
             static_cast<uint16_t>(FrameType::kStoreInfo) | kReplyBit);
-  EXPECT_EQ(static_cast<uint16_t>(FrameType::kStoreTopKReply),
-            static_cast<uint16_t>(FrameType::kStoreTopK) | kReplyBit);
   EXPECT_EQ(static_cast<uint16_t>(FrameType::kStoreTopKBatchReply),
             static_cast<uint16_t>(FrameType::kStoreTopKBatch) | kReplyBit);
   EXPECT_EQ(static_cast<uint16_t>(FrameType::kStoreGetVectorReply),
@@ -175,39 +173,10 @@ TEST(WireStoreCodecTest, StoreInfoReplyRoundTrip) {
   EXPECT_EQ(got.dim, 768u);
 }
 
-TEST(WireStoreCodecTest, StoreTopKRoundTripBitwise) {
-  StoreTopKRequest req;
-  req.query = {0.25f, -1.5f, 3.14159f, -0.0f};
-  req.k = 17;
-  req.seen = SampleSeen();
-  StoreTopKRequest got;
-  ASSERT_TRUE(DecodeStoreTopKRequest(EncodeStoreTopKRequest(req), &got));
-  ASSERT_EQ(got.query.size(), req.query.size());
-  for (size_t i = 0; i < req.query.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&got.query[i], &req.query[i], sizeof(float)), 0);
-  }
-  EXPECT_EQ(got.k, 17u);
-  EXPECT_TRUE(got.seen == req.seen);
-
-  // The reply preserves result order and score bits verbatim — the remote
-  // parity contract needs the wire to be order- and bit-transparent.
-  StoreTopKReply reply;
-  reply.results = {{9, 0.75f}, {2, 0.75f}, {31, -0.0f}};
-  StoreTopKReply reply_got;
-  ASSERT_TRUE(DecodeStoreTopKReply(EncodeStoreTopKReply(reply), &reply_got));
-  ASSERT_EQ(reply_got.results.size(), 3u);
-  for (size_t i = 0; i < reply.results.size(); ++i) {
-    EXPECT_EQ(reply_got.results[i].id, reply.results[i].id);
-    EXPECT_EQ(std::memcmp(&reply_got.results[i].score,
-                          &reply.results[i].score, sizeof(float)),
-              0);
-  }
-}
-
-TEST(WireStoreCodecTest, StoreTopKBatchRoundTrip) {
+TEST(WireStoreCodecTest, StoreTopKBatchRoundTripBitwise) {
   StoreTopKBatchRequest req;
-  req.queries = {{1.0f, 2.0f}, {-3.0f, 0.5f}, {0.0f, -0.0f}};
-  req.k = 5;
+  req.queries = {{0.25f, -1.5f, 3.14159f, -0.0f}, {-3.0f, 0.5f}, {0.0f}};
+  req.k = 17;
   req.seen = SampleSeen();
   StoreTopKBatchRequest got;
   ASSERT_TRUE(
@@ -216,22 +185,33 @@ TEST(WireStoreCodecTest, StoreTopKBatchRoundTrip) {
   for (size_t q = 0; q < req.queries.size(); ++q) {
     ASSERT_EQ(got.queries[q].size(), req.queries[q].size());
     for (size_t i = 0; i < req.queries[q].size(); ++i) {
-      EXPECT_EQ(got.queries[q][i], req.queries[q][i]);
+      EXPECT_EQ(std::memcmp(&got.queries[q][i], &req.queries[q][i],
+                            sizeof(float)),
+                0);
     }
   }
-  EXPECT_EQ(got.k, 5u);
+  EXPECT_EQ(got.k, 17u);
   EXPECT_TRUE(got.seen == req.seen);
 
+  // The reply preserves result order and score bits verbatim — the remote
+  // parity contract needs the wire to be order- and bit-transparent.
   StoreTopKBatchReply reply;
-  reply.results = {{{1, 0.5f}}, {}, {{2, 0.25f}, {3, 0.125f}}};
+  reply.results = {{{9, 0.75f}, {2, 0.75f}, {31, -0.0f}}, {},
+                   {{2, 0.25f}, {3, 0.125f}}};
   StoreTopKBatchReply reply_got;
   ASSERT_TRUE(
       DecodeStoreTopKBatchReply(EncodeStoreTopKBatchReply(reply), &reply_got));
   ASSERT_EQ(reply_got.results.size(), 3u);
-  EXPECT_EQ(reply_got.results[0].size(), 1u);
   EXPECT_TRUE(reply_got.results[1].empty());  // empty per-query lists survive
-  ASSERT_EQ(reply_got.results[2].size(), 2u);
-  EXPECT_EQ(reply_got.results[2][1].id, 3u);
+  for (size_t q = 0; q < reply.results.size(); ++q) {
+    ASSERT_EQ(reply_got.results[q].size(), reply.results[q].size());
+    for (size_t i = 0; i < reply.results[q].size(); ++i) {
+      EXPECT_EQ(reply_got.results[q][i].id, reply.results[q][i].id);
+      EXPECT_EQ(std::memcmp(&reply_got.results[q][i].score,
+                            &reply.results[q][i].score, sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(WireStoreCodecTest, StoreGetVectorRoundTrip) {
@@ -257,11 +237,12 @@ TEST(WireStoreCodecTest, StoreGetVectorRoundTrip) {
 
 TEST(WireStoreCodecTest, EmptySeenSetAndZeroQueriesRoundTrip) {
   // Degenerate-but-legal shapes: no exclusions, an empty batch.
-  StoreTopKRequest req;
-  req.query = {1.0f};
+  StoreTopKBatchRequest req;
+  req.queries = {{1.0f}};
   req.k = 1;
-  StoreTopKRequest got;
-  ASSERT_TRUE(DecodeStoreTopKRequest(EncodeStoreTopKRequest(req), &got));
+  StoreTopKBatchRequest got;
+  ASSERT_TRUE(
+      DecodeStoreTopKBatchRequest(EncodeStoreTopKBatchRequest(req), &got));
   EXPECT_EQ(got.seen.capacity(), 0u);
 
   StoreTopKBatchRequest batch;
@@ -326,16 +307,6 @@ TEST(WireCodecTest, EveryTruncationFailsCleanly) {
          StoreInfoReply m;
          return DecodeStoreInfoReply(p, &m);
        }},
-      {EncodeStoreTopKRequest({{0.5f, -0.25f}, 7, SampleSeen()}),
-       [](std::string_view p) {
-         StoreTopKRequest m;
-         return DecodeStoreTopKRequest(p, &m);
-       }},
-      {EncodeStoreTopKReply({{{1, 0.5f}, {2, 0.25f}}}),
-       [](std::string_view p) {
-         StoreTopKReply m;
-         return DecodeStoreTopKReply(p, &m);
-       }},
       {EncodeStoreTopKBatchRequest(
            {{{1.0f, 2.0f}, {3.0f, 4.0f}}, 5, SampleSeen()}),
        [](std::string_view p) {
@@ -393,15 +364,11 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashes) {
     DecodeErrorReply(bytes, &f);
     DecodeHeader(bytes, &h);
     StoreInfoReply si;
-    StoreTopKRequest st;
-    StoreTopKReply sr;
     StoreTopKBatchRequest sb;
     StoreTopKBatchReply sbr;
     StoreGetVectorRequest sg;
     StoreGetVectorReply sgr;
     DecodeStoreInfoReply(bytes, &si);
-    DecodeStoreTopKRequest(bytes, &st);
-    DecodeStoreTopKReply(bytes, &sr);
     DecodeStoreTopKBatchRequest(bytes, &sb);
     DecodeStoreTopKBatchReply(bytes, &sbr);
     DecodeStoreGetVectorRequest(bytes, &sg);
@@ -418,7 +385,6 @@ TEST(WireFuzzTest, CorruptedValidPayloadsNeverCrash) {
       EncodeAddFeedbackRequest(
           {4, {7, true, {{0.1f, 0.1f, 0.9f, 0.9f}}}}),
       EncodeErrorReply({WireError::kRetryLater, "shed"}),
-      EncodeStoreTopKRequest({{0.5f, -0.25f, 1.0f}, 7, SampleSeen()}),
       EncodeStoreTopKBatchRequest(
           {{{1.0f, 2.0f}, {3.0f, 4.0f}}, 5, SampleSeen()}),
       EncodeStoreTopKBatchReply({{{{1, 0.5f}}, {{2, 0.25f}, {3, 0.1f}}}}),
@@ -441,11 +407,9 @@ TEST(WireFuzzTest, CorruptedValidPayloadsNeverCrash) {
     DecodeNextBatchReply(bytes, &c);
     DecodeAddFeedbackRequest(bytes, &d);
     DecodeErrorReply(bytes, &f);
-    StoreTopKRequest st;
     StoreTopKBatchRequest sb;
     StoreTopKBatchReply sbr;
     StoreGetVectorReply sgr;
-    DecodeStoreTopKRequest(bytes, &st);
     DecodeStoreTopKBatchRequest(bytes, &sb);
     DecodeStoreTopKBatchReply(bytes, &sbr);
     DecodeStoreGetVectorReply(bytes, &sgr);
@@ -470,32 +434,35 @@ TEST(WireFuzzTest, StoreLengthPrefixBombsRejected) {
   {
     // Query vector claiming 1M dims with 8 bytes of payload behind it.
     WireWriter w;
+    w.U32(1);  // one query...
     w.U32(1u << 20);
     w.F32(1.0f);
     w.F32(2.0f);
-    StoreTopKRequest got;
-    EXPECT_FALSE(DecodeStoreTopKRequest(w.bytes(), &got));
+    StoreTopKBatchRequest got;
+    EXPECT_FALSE(DecodeStoreTopKBatchRequest(w.bytes(), &got));
   }
   {
     // Seen set claiming ~2^40 capacity: over the cap outright.
     WireWriter w;
-    w.U32(1);  // one-dim query...
+    w.U32(1);  // one query...
+    w.U32(1);  // ...of one dim
     w.F32(1.0f);
     w.U32(5);            // k
     w.U64(1ull << 40);   // seen capacity: absurd
-    StoreTopKRequest got;
-    EXPECT_FALSE(DecodeStoreTopKRequest(w.bytes(), &got));
+    StoreTopKBatchRequest got;
+    EXPECT_FALSE(DecodeStoreTopKBatchRequest(w.bytes(), &got));
   }
   {
     // Seen set within the cap but with no words behind the prefix: the
     // bounds pre-check must reject before allocating ~16MB of words.
     WireWriter w;
     w.U32(1);
+    w.U32(1);
     w.F32(1.0f);
     w.U32(5);
     w.U64(1ull << 27);  // exactly the cap, zero payload bytes follow
-    StoreTopKRequest got;
-    EXPECT_FALSE(DecodeStoreTopKRequest(w.bytes(), &got));
+    StoreTopKBatchRequest got;
+    EXPECT_FALSE(DecodeStoreTopKBatchRequest(w.bytes(), &got));
   }
   {
     // Batch claiming 2^31 queries: over kMaxStoreQueries.
@@ -514,11 +481,12 @@ TEST(WireFuzzTest, StoreLengthPrefixBombsRejected) {
   {
     // Result list claiming 1M hits backed by one real entry.
     WireWriter w;
+    w.U32(1);  // one result list...
     w.U32(1u << 20);
     w.U32(1);
     w.F32(0.5f);
-    StoreTopKReply got;
-    EXPECT_FALSE(DecodeStoreTopKReply(w.bytes(), &got));
+    StoreTopKBatchReply got;
+    EXPECT_FALSE(DecodeStoreTopKBatchReply(w.bytes(), &got));
   }
 }
 

@@ -138,8 +138,9 @@ TEST(NumaShardedStoreTest, FallbackIsExactlyTheUnplacedStore) {
 }
 
 TEST(NumaShardedStoreTest, PlacementParitySweep) {
-  // Placed vs unplaced must be bitwise identical across shard counts,
-  // precisions, seen sets, and scalar/batched/pooled paths.
+  // Placed and unplaced must both be bitwise identical to the brute-force
+  // scan across shard counts, precisions, seen sets, and single-query /
+  // pooled-batch lookups.
   constexpr size_t kRows = 700;
   constexpr size_t kDim = 32;
   MatrixF table = RandomTable(kRows, kDim, /*seed=*/21);
@@ -165,15 +166,16 @@ TEST(NumaShardedStoreTest, PlacementParitySweep) {
       ASSERT_TRUE(unplaced.ok() && placed.ok());
 
       for (size_t k : {size_t{1}, size_t{17}, kRows + 5}) {
-        for (const VecSpan& q : spans) {
-          ExpectIdenticalResults(placed->TopK(q, k, seen),
-                                 unplaced->TopK(q, k, seen));
-        }
         auto a = unplaced->TopKBatch(spans, k, seen, &pool);
         auto b = placed->TopKBatch(spans, k, seen, &pool);
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t qi = 0; qi < a.size(); ++qi) {
-          ExpectIdenticalResults(b[qi], a[qi]);
+        ASSERT_EQ(a.size(), spans.size());
+        ASSERT_EQ(b.size(), spans.size());
+        for (size_t qi = 0; qi < spans.size(); ++qi) {
+          auto want = test_util::BruteForceTopK(table, spans[qi], k, seen,
+                                                precision);
+          ExpectIdenticalResults(placed->TopK(spans[qi], k, seen), want);
+          ExpectIdenticalResults(a[qi], want);
+          ExpectIdenticalResults(b[qi], want);
         }
       }
     }

@@ -45,6 +45,7 @@ using store::SeenSet;
 using store::ShardedOptions;
 using store::ShardedStore;
 using test_util::AsSpans;
+using test_util::BruteForceTopK;
 using test_util::ClusteredTable;
 using test_util::ExpectIdenticalResults;
 using test_util::RandomQueries;
@@ -331,9 +332,9 @@ TEST_F(QuantizedKernelTest, RecallGateVsFp32OnClusteredData) {
 }
 
 TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
-  // The acceptance criterion at the store level: a forced-scalar int8 scan
-  // is bitwise equal to the SIMD int8 scan on every supported kernel, for
-  // both the scalar TopK and the batched TopKBatch paths.
+  // The acceptance criterion at the store level: the int8 scan on every
+  // supported kernel is bitwise equal to the brute-force int8 oracle
+  // computed on the forced-scalar kernel, for single queries and batches.
   const size_t n = 523, dim = 48;
   MatrixF table = ClusteredTable(n, dim, 16, 63);
   ExactStoreOptions options;
@@ -345,27 +346,27 @@ TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
   SeenSet seen = RandomSeenSet(n, 0.3, 65);
 
   ASSERT_TRUE(ForceKernels("scalar"));
-  std::vector<std::vector<store::SearchResult>> want_scalar;
-  for (const VectorF& q : queries) want_scalar.push_back(store->TopK(q, 37, seen));
-  auto want_batch = store->TopKBatch(std::span<const VecSpan>(spans), 37, seen);
+  std::vector<std::vector<store::SearchResult>> want;
+  for (const VectorF& q : queries) {
+    want.push_back(BruteForceTopK(table, q, 37, seen, ScanPrecision::kInt8));
+  }
 
   for (const std::string& name : SupportedKernels()) {
     ASSERT_TRUE(ForceKernels(name));
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectIdenticalResults(store->TopK(queries[qi], 37, seen),
-                             want_scalar[qi]);
+      ExpectIdenticalResults(store->TopK(queries[qi], 37, seen), want[qi]);
     }
     auto got_batch =
         store->TopKBatch(std::span<const VecSpan>(spans), 37, seen);
-    ASSERT_EQ(got_batch.size(), want_batch.size());
-    for (size_t qi = 0; qi < want_batch.size(); ++qi) {
-      ExpectIdenticalResults(got_batch[qi], want_batch[qi]);
+    ASSERT_EQ(got_batch.size(), want.size());
+    for (size_t qi = 0; qi < want.size(); ++qi) {
+      ExpectIdenticalResults(got_batch[qi], want[qi]);
     }
   }
 }
 
-TEST_F(QuantizedKernelTest, ScalarTopKMatchesBatchedInt8Scan) {
-  // Within the int8 family, the scalar lookup and the blocked batch scan
+TEST_F(QuantizedKernelTest, BatchedInt8ScanMatchesBruteForce) {
+  // Within the int8 family, the blocked batch scan and the per-pair oracle
   // compute the same fixed-order arithmetic — bitwise equal results.
   const size_t n = 311, dim = 32;
   MatrixF table = ClusteredTable(n, dim, 8, 67);
@@ -380,7 +381,9 @@ TEST_F(QuantizedKernelTest, ScalarTopKMatchesBatchedInt8Scan) {
     auto batched =
         store->TopKBatch(std::span<const VecSpan>(spans), 25, seen);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectIdenticalResults(store->TopK(queries[qi], 25, seen), batched[qi]);
+      ExpectIdenticalResults(
+          batched[qi],
+          BruteForceTopK(table, queries[qi], 25, seen, ScanPrecision::kInt8));
     }
   }
 }
@@ -445,14 +448,8 @@ TEST_F(QuantizedKernelTest, Fp32PathIsUnchangedByDefaultOptions) {
   auto queries = RandomQueries(2, dim, 80);
   SeenSet seen = RandomSeenSet(n, 0.8, 81);  // above threshold: compacts
   for (const VectorF& q : queries) {
-    auto got = store->TopK(q, 11, seen);
-    // Reference: brute-force fp32 scan with linalg::Dot.
-    store::TopKHeap heap(11);
-    for (size_t i = 0; i < n; ++i) {
-      if (seen.Test(static_cast<uint32_t>(i))) continue;
-      heap.Push(static_cast<uint32_t>(i), Dot(table.Row(i), q));
-    }
-    ExpectIdenticalResults(got, heap.TakeSorted());
+    ExpectIdenticalResults(store->TopK(q, 11, seen),
+                           BruteForceTopK(table, q, 11, seen));
   }
 }
 

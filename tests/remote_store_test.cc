@@ -1,17 +1,20 @@
 // RemoteStore under the deterministic fault harness and over real sockets:
 // bitwise remote-vs-local parity for every shard count / precision / seen
 // fraction, and the full failure-semantics matrix — retry-then-succeed,
-// retries exhausted, deadline expiry (never retried), shard death mid-scan
-// surfacing as a typed collector error, stale-duplicate replies skipped,
-// backoff monotonicity with the jitter envelope, and cancellation that
-// abandons an in-flight socket wait. Fault tests run on a virtual clock
-// (tests/fault_socket.h): no sleeps, no wall-clock races.
+// retries exhausted, a dead peer behind a single-query TopK, deadline
+// expiry (never retried), shard death mid-scan surfacing as a typed
+// collector error, stale-duplicate replies skipped, backoff monotonicity
+// with the jitter envelope, cancellation that abandons an in-flight socket
+// wait, the store service's k clamp, and the retired frame type 8. Fault
+// tests run on a virtual clock (tests/fault_socket.h): no sleeps, no
+// wall-clock races.
 #include "net/remote_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <semaphore>
@@ -142,7 +145,8 @@ RemoteSingle MakeRemoteSingle(const linalg::MatrixF& table,
 // ------------------------------------------------- remote-local parity --
 
 // A ShardedStore over RemoteStore children returns bit-for-bit what a
-// single local ExactStore over the whole table returns — for every shard
+// single local ExactStore over the whole table returns (pinned here to the
+// brute-force oracle, which that store matches exactly) — for every shard
 // count, both scan precisions, and light/heavy exclusion sets. This is the
 // tentpole contract: moving shards out of process must be invisible in the
 // results. (Int8 quantization is per-row, so the sharded int8 scan is also
@@ -157,7 +161,6 @@ TEST(RemoteStoreParity, BitwiseEqualToLocalAcrossShardCounts) {
     for (size_t dim : {24u, 64u}) {
       linalg::MatrixF table =
           test_util::ClusteredTable(kRows, dim, /*centers=*/8, /*seed=*/dim);
-      auto reference = MakeExact(table, precision);
       auto queries = test_util::RandomQueries(kQueries, dim, /*seed=*/7 + dim);
       auto spans = test_util::AsSpans(queries);
       for (size_t shards : {1u, 2u, 3u, 7u}) {
@@ -167,21 +170,19 @@ TEST(RemoteStoreParity, BitwiseEqualToLocalAcrossShardCounts) {
         for (double fraction : {0.0, 0.3, 0.9}) {
           SeenSet seen = test_util::RandomSeenSet(
               kRows, fraction, /*seed=*/101 * shards + dim);
-          for (const auto& q : queries) {
-            test_util::ExpectIdenticalResults(
-                remote.store().TopK(q, kTopK, seen),
-                reference->TopK(q, kTopK, seen));
-          }
           ScanErrorCollector errors;
           ScanControl control;
           control.errors = &errors;
           auto got =
               remote.store().TopKBatch(spans, kTopK, seen, &pool, control);
-          auto want = reference->TopKBatch(spans, kTopK, seen, &pool);
           EXPECT_TRUE(errors.ok()) << errors.first().ToString();
-          ASSERT_EQ(got.size(), want.size());
-          for (size_t i = 0; i < want.size(); ++i) {
-            test_util::ExpectIdenticalResults(got[i], want[i]);
+          ASSERT_EQ(got.size(), queries.size());
+          for (size_t i = 0; i < queries.size(); ++i) {
+            auto want = test_util::BruteForceTopK(table, queries[i], kTopK,
+                                                  seen, precision);
+            test_util::ExpectIdenticalResults(
+                remote.store().TopK(queries[i], kTopK, seen), want);
+            test_util::ExpectIdenticalResults(got[i], want);
           }
         }
       }
@@ -196,14 +197,13 @@ TEST(RemoteStoreParity, KLargerThanShardRows) {
   constexpr size_t kRows = 120;
   constexpr size_t kDim = 16;
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/3);
-  auto reference = MakeExact(table, ScanPrecision::kFloat32);
   RemoteSharded remote =
       MakeRemoteSharded(table, /*num_shards=*/7, ScanPrecision::kFloat32);
   auto queries = test_util::RandomQueries(2, kDim, /*seed=*/11);
   for (const auto& q : queries) {
     // 80 > ceil(120/7) rows per shard; also exercises the full-table tail.
     test_util::ExpectIdenticalResults(remote.store().TopK(q, 80),
-                                      reference->TopK(q, 80));
+                                      test_util::BruteForceTopK(table, q, 80));
   }
 }
 
@@ -261,7 +261,8 @@ TEST(RemoteStoreFaults, RetryLaterThenSucceed) {
   ScanControl control;
   control.errors = &errors;
   auto got = fx.remote->TopK(queries[0], 5, store::EmptySeenSet(), control);
-  test_util::ExpectIdenticalResults(got, fx.peer->TopK(queries[0], 5));
+  test_util::ExpectIdenticalResults(
+      got, test_util::BruteForceTopK(table, queries[0], 5));
 
   EXPECT_TRUE(errors.ok());
   EXPECT_EQ(fx.transport->sends(), 3u);  // info + shed attempt + retry
@@ -298,6 +299,29 @@ TEST(RemoteStoreFaults, RetriesExhaustedReportTyped) {
             std::string::npos);
   EXPECT_EQ(fx.transport->sends(), 5u);  // info + 1 attempt + 3 retries
   EXPECT_EQ(sleeps.size(), 3u);          // one backoff per retry
+}
+
+// A single-query TopK against a dead peer (every attempt dropped) goes
+// through the base wrapper's empty-outer case: the batch-of-one RPC fails,
+// TopK returns {} rather than touching a missing front(), and exactly one
+// typed IoError reaches the collector.
+TEST(RemoteStoreFaults, TopKOnDeadPeerReturnsEmptyAndReportsOnce) {
+  linalg::MatrixF table = test_util::RandomTable(80, 16, /*seed=*/47);
+  RemoteStoreOptions options = FastOptions();
+  options.max_retries = 2;
+  RemoteSingle fx =
+      MakeRemoteSingle(table, {Pass(), Drop(), Drop(), Drop()}, options);
+
+  auto queries = test_util::RandomQueries(1, 16, /*seed=*/48);
+  ScanErrorCollector errors;
+  ScanControl control;
+  control.errors = &errors;
+  auto got = fx.remote->TopK(queries[0], 5, store::EmptySeenSet(), control);
+  EXPECT_TRUE(got.empty());
+  ASSERT_FALSE(errors.ok());
+  EXPECT_EQ(errors.count(), 1u);
+  EXPECT_EQ(errors.first().code(), StatusCode::kIoError);
+  EXPECT_EQ(fx.transport->steps_left(), 0u);  // 1 attempt + 2 retries
 }
 
 // Deadline expiry is final: no retry attempts follow, and the failure
@@ -339,7 +363,8 @@ TEST(RemoteStoreFaults, TruncatedReplyReconnectsAndRetries) {
   ScanControl control;
   control.errors = &errors;
   auto got = fx.remote->TopK(queries[0], 5, store::EmptySeenSet(), control);
-  test_util::ExpectIdenticalResults(got, fx.peer->TopK(queries[0], 5));
+  test_util::ExpectIdenticalResults(
+      got, test_util::BruteForceTopK(table, queries[0], 5));
   EXPECT_TRUE(errors.ok());
   EXPECT_EQ(fx.transport->reconnects(), 1u);
   EXPECT_EQ(fx.transport->sends(), 3u);
@@ -391,7 +416,8 @@ TEST(RemoteStoreFaults, StaleDuplicateReplyIsSkipped) {
   ScanControl control;
   control.errors = &errors;
   auto got = fx.remote->TopK(queries[0], 5, store::EmptySeenSet(), control);
-  test_util::ExpectIdenticalResults(got, fx.peer->TopK(queries[0], 5));
+  test_util::ExpectIdenticalResults(
+      got, test_util::BruteForceTopK(table, queries[0], 5));
   EXPECT_TRUE(errors.ok());
   EXPECT_EQ(fx.transport->steps_left(), 0u);
 }
@@ -434,6 +460,41 @@ TEST(RemoteStoreFaults, CreateFailsTypedOnDeadPeer) {
   EXPECT_EQ(remote.status().code(), StatusCode::kIoError);
   EXPECT_NE(remote.status().message().find("retries exhausted"),
             std::string::npos);
+}
+
+// k arrives from outside the process: the service clamps it to the store
+// size before the scan (whose heaps reserve k slots), so a hostile
+// k = UINT32_MAX costs nothing and gets exactly the k = size() reply.
+TEST(StoreFrameServiceTest, OversizedKIsClampedToStoreSize) {
+  constexpr size_t kRows = 50;
+  linalg::MatrixF table = test_util::RandomTable(kRows, 8, /*seed=*/49);
+  auto store = MakeExact(table, ScanPrecision::kFloat32);
+  net::StoreFrameService service(*store, /*pool=*/nullptr);
+
+  net::StoreTopKBatchRequest req;
+  req.queries = test_util::RandomQueries(2, 8, /*seed=*/50);
+  req.seen = test_util::RandomSeenSet(kRows, 0.2, /*seed=*/51);
+  net::FrameHeader header;
+  header.type = net::FrameType::kStoreTopKBatch;
+  header.request_id = 9;
+  req.k = UINT32_MAX;
+  std::string hostile =
+      service.HandleFrame(header, net::EncodeStoreTopKBatchRequest(req));
+  req.k = kRows;
+  std::string bounded =
+      service.HandleFrame(header, net::EncodeStoreTopKBatchRequest(req));
+  EXPECT_EQ(hostile, bounded);
+
+  net::FrameHeader reply_header;
+  ASSERT_TRUE(net::DecodeHeader(hostile, &reply_header));
+  ASSERT_EQ(reply_header.type, net::FrameType::kStoreTopKBatchReply);
+  net::StoreTopKBatchReply reply;
+  ASSERT_TRUE(net::DecodeStoreTopKBatchReply(
+      std::string_view(hostile).substr(net::kHeaderBytes), &reply));
+  ASSERT_EQ(reply.results.size(), 2u);
+  test_util::ExpectIdenticalResults(
+      reply.results[0],
+      test_util::BruteForceTopK(table, req.queries[0], kRows, req.seen));
 }
 
 // The backoff schedule is exponential, capped, and jittered within the
@@ -517,7 +578,6 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
   constexpr size_t kRows = 200;
   constexpr size_t kDim = 16;
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/41);
-  auto reference = MakeExact(table, ScanPrecision::kFloat32);
 
   auto shard0 = MakeExact(ShardRows(table, 2, 0), ScanPrecision::kFloat32);
   auto shard1 = MakeExact(ShardRows(table, 2, 1), ScanPrecision::kFloat32);
@@ -545,25 +605,63 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
   ScanErrorCollector errors;
   ScanControl control;
   control.errors = &errors;
-  for (const auto& q : queries) {
-    test_util::ExpectIdenticalResults(sharded.TopK(q, 10, seen, control),
-                                      reference->TopK(q, 10, seen));
-  }
   auto got = sharded.TopKBatch(spans, 10, seen, /*pool=*/nullptr, control);
-  auto want = reference->TopKBatch(spans, 10, seen);
-  EXPECT_TRUE(errors.ok()) << errors.first().ToString();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    test_util::ExpectIdenticalResults(got[i], want[i]);
+  ASSERT_EQ(got.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto want = test_util::BruteForceTopK(table, queries[i], 10, seen);
+    test_util::ExpectIdenticalResults(
+        sharded.TopK(queries[i], 10, seen, control), want);
+    test_util::ExpectIdenticalResults(got[i], want);
   }
+  EXPECT_TRUE(errors.ok()) << errors.first().ToString();
   // GetVector crosses the wire with float bits intact too.
   auto row = sharded.GetVector(kRows - 1);
   ASSERT_EQ(row.size(), kDim);
   for (size_t j = 0; j < kDim; ++j) EXPECT_EQ(row[j], table.Row(kRows - 1)[j]);
 }
 
-/// Wraps a store so TopK parks on a semaphore until the test releases it —
-/// holds a real server handler mid-scan deterministically.
+// Frame type 8 (the retired single-query lookup) is never reused: a
+// store-mode server answers it with a typed kUnknownType error frame and
+// keeps the connection open for the next request.
+TEST(RemoteStoreSockets, RetiredFrameTypeGetsUnknownTypeAndConnectionLives) {
+  linalg::MatrixF table = test_util::RandomTable(40, 8, /*seed=*/46);
+  auto exact = MakeExact(table, ScanPrecision::kFloat32);
+  StoreServerFixture server(*exact);
+  auto made = net::TcpTransport::Connect("127.0.0.1", server.server.port());
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  net::Transport& conn = **made;
+
+  constexpr uint16_t kRetiredStoreTopK = 8;
+  ASSERT_TRUE(conn.Send(net::EncodeFrame(
+                            static_cast<net::FrameType>(kRetiredStoreTopK),
+                            /*request_id=*/1, ""))
+                  .ok());
+  net::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(conn.ReadFrame(&header, &payload, 1u << 20,
+                             /*deadline_seconds=*/30.0, nullptr)
+                  .ok());
+  EXPECT_EQ(header.request_id, 1u);
+  ASSERT_EQ(header.type, net::FrameType::kError);
+  net::ErrorReply error;
+  ASSERT_TRUE(net::DecodeErrorReply(payload, &error));
+  EXPECT_EQ(error.code, net::WireError::kUnknownType);
+
+  // Same connection, next request: still served.
+  ASSERT_TRUE(
+      conn.Send(net::EncodeFrame(net::FrameType::kStoreInfo, 2, "")).ok());
+  ASSERT_TRUE(conn.ReadFrame(&header, &payload, 1u << 20,
+                             /*deadline_seconds=*/30.0, nullptr)
+                  .ok());
+  EXPECT_EQ(header.request_id, 2u);
+  ASSERT_EQ(header.type, net::FrameType::kStoreInfoReply);
+  net::StoreInfoReply info;
+  ASSERT_TRUE(net::DecodeStoreInfoReply(payload, &info));
+  EXPECT_EQ(info.size, 40u);
+}
+
+/// Wraps a store so its scan parks on a semaphore until the test releases
+/// it — holds a real server handler mid-scan deterministically.
 class BlockingStore : public VectorStore {
  public:
   explicit BlockingStore(const VectorStore& inner) : inner_(&inner) {}
@@ -571,20 +669,20 @@ class BlockingStore : public VectorStore {
   size_t size() const override { return inner_->size(); }
   size_t dim() const override { return inner_->dim(); }
 
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override {
+  std::vector<std::vector<SearchResult>> TopKBatch(
+      std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
+      ThreadPool* pool, const ScanControl& control) const override {
     entered_.release();
     release_.acquire();
     release_.release();  // stay open: only the first scan parks
-    return inner_->TopK(query, k, seen, control);
+    return inner_->TopKBatch(queries, k, seen, pool, control);
   }
 
   linalg::VecSpan GetVector(uint32_t id) const override {
     return inner_->GetVector(id);
   }
 
-  /// Blocks until a scan has parked inside TopK.
+  /// Blocks until a scan has parked inside TopKBatch.
   void AwaitEntered() const { entered_.acquire(); }
   /// Lets the parked scan (and all future ones) proceed.
   void Release() const { release_.release(); }

@@ -45,8 +45,9 @@ MatrixF DuplicateRowTable(size_t n, size_t d, size_t distinct, uint64_t seed) {
   return table;
 }
 
-/// Asserts ShardedStore == ExactStore bitwise for TopK and TopKBatch (serial
-/// and pooled) at several k, under the given seen set.
+/// Asserts ShardedStore == the brute-force scan of the unsharded table at
+/// `exact`'s precision (ExactStore's contract), bitwise, for single queries
+/// and batches (serial and pooled) at several k, under the given seen set.
 void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
                         const std::vector<VectorF>& queries,
                         const SeenSet& seen, ThreadPool* pool) {
@@ -54,13 +55,11 @@ void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
   std::vector<VecSpan> spans = AsSpans(queries);
   const size_t n = exact.size();
   for (size_t k : {size_t{1}, size_t{13}, n + 7}) {
-    // Scalar path.
+    std::vector<std::vector<SearchResult>> want;
     for (const VecSpan& q : spans) {
-      ExpectIdenticalResults(sharded.TopK(q, k, seen), exact.TopK(q, k, seen));
+      want.push_back(test_util::BruteForceTopK(exact.vectors(), q, k, seen,
+                                               exact.options().precision));
     }
-    // Batched, serial and pooled.
-    auto want = exact.TopKBatch(std::span<const VecSpan>(spans), k, seen,
-                                /*pool=*/nullptr);
     auto serial = sharded.TopKBatch(std::span<const VecSpan>(spans), k, seen,
                                     /*pool=*/nullptr);
     auto pooled =
@@ -68,6 +67,7 @@ void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
     ASSERT_EQ(serial.size(), want.size());
     ASSERT_EQ(pooled.size(), want.size());
     for (size_t q = 0; q < want.size(); ++q) {
+      ExpectIdenticalResults(sharded.TopK(spans[q], k, seen), want[q]);
       ExpectIdenticalResults(serial[q], want[q]);
       ExpectIdenticalResults(pooled[q], want[q]);
     }
@@ -215,24 +215,6 @@ TEST(ShardedStoreTest, DuplicateScoresTieBreakAcrossShardBoundaries) {
       SeenSet seen = RandomSeenSet(n, fraction, 13);
       CheckShardedParity(*exact, *sharded, queries, seen, &pool);
     }
-  }
-}
-
-TEST(ShardedStoreTest, ScalarTopKCanFanOutOnAPool) {
-  MatrixF table = RandomTable(300, 8, 21);
-  auto exact = ExactStore::Create(table);
-  ShardedOptions options;
-  options.num_shards = 5;
-  auto sharded = ShardedStore::Create(table, options);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(sharded.ok());
-  ThreadPool pool(3);
-  sharded->set_thread_pool(&pool);
-  auto queries = RandomQueries(3, 8, 22);
-  SeenSet seen = RandomSeenSet(300, 0.3, 23);
-  for (const VectorF& q : queries) {
-    ExpectIdenticalResults(sharded->TopK(q, 17, seen),
-                           exact->TopK(q, 17, seen));
   }
 }
 
@@ -496,12 +478,10 @@ TEST(InScanCancellationTest, IvfIndexStopsBetweenProbedLists) {
   EXPECT_TRUE(out[0].empty());
 }
 
-// The scalar TopK path checkpoints at the same granularity as the batched
-// one (ROADMAP leftover closed by the refit-speculation PR): per row block
-// for the exact scan, per shard dispatch for ShardedStore, per probed list
-// for IVF. Same deterministic semaphore-parked schedule as above.
-
-TEST(InScanCancellationTest, ExactStoreScalarTopKStopsMidScan) {
+// TopK is a batch of one, so it must hand its ScanControl to that scan: the
+// same per-row-block checkpoints, and the same stop at the one that
+// observes the cancel.
+TEST(InScanCancellationTest, SingleQueryTopKStopsMidScan) {
   // 2048 rows = 64 row-block checkpoints, exactly like the batched scan.
   auto store = ExactStore::Create(RandomTable(2048, 8, 81));
   ASSERT_TRUE(store.ok());
@@ -514,7 +494,7 @@ TEST(InScanCancellationTest, ExactStoreScalarTopKStopsMidScan) {
     auto out = store->TopK(queries[0], 10, EmptySeenSet(), control);
     EXPECT_EQ(out.size(), 10u);
     // The checkpoints must not change the result: bitwise equal to the
-    // control-free scalar scan.
+    // control-free scan.
     ExpectIdenticalResults(out, store->TopK(queries[0], 10));
   }
   EXPECT_EQ(total_blocks, 64);
@@ -526,72 +506,9 @@ TEST(InScanCancellationTest, ExactStoreScalarTopKStopsMidScan) {
   int hit = RunBlockThenCancel(token, control, [&] {
     out = store->TopK(queries[0], 10, EmptySeenSet(), control);
   });
-  EXPECT_EQ(hit, 1) << "the scalar scan must stop at the checkpoint that "
-                       "observed the cancel, not finish the table";
+  EXPECT_EQ(hit, 1) << "the scan must stop at the checkpoint that observed "
+                       "the cancel, not finish the table";
   EXPECT_TRUE(out.empty());  // nothing scanned before the cancel
-}
-
-TEST(InScanCancellationTest, ShardedStoreScalarTopKStopsAndSkipsShards) {
-  // Serial sharded scalar scan: 8 shard-dispatch checkpoints + 8 child
-  // blocks each (2048 rows / 8 shards / 32-row blocks) = 72 uncancelled;
-  // cancelled at the first checkpoint: the parked shard is skipped and the
-  // remaining 7 dispatches short-circuit — 8 hook hits, no block scored.
-  MatrixF table = RandomTable(2048, 8, 83);
-  ShardedOptions options;
-  options.num_shards = 8;
-  auto store = ShardedStore::Create(table, options);
-  ASSERT_TRUE(store.ok());
-  auto queries = RandomQueries(1, 8, 84);
-
-  int total = 0;
-  {
-    ScanControl control;
-    control.checkpoint = [&] { ++total; };
-    auto out = store->TopK(queries[0], 10, EmptySeenSet(), control);
-    EXPECT_EQ(out.size(), 10u);
-    ExpectIdenticalResults(out, store->TopK(queries[0], 10));
-  }
-  EXPECT_EQ(total, 72);
-
-  CancellationToken token;
-  ScanControl control;
-  control.cancel = &token;
-  std::vector<SearchResult> out;
-  int hit = RunBlockThenCancel(token, control, [&] {
-    out = store->TopK(queries[0], 10, EmptySeenSet(), control);
-  });
-  EXPECT_EQ(hit, 8);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(InScanCancellationTest, IvfScalarTopKStopsBetweenProbedLists) {
-  // nprobe = num_lists makes every probed list a checkpoint.
-  IvfOptions ivf;
-  ivf.num_lists = 16;
-  ivf.nprobe = 16;
-  auto store = IvfFlatIndex::Build(ivf, RandomTable(512, 8, 85));
-  ASSERT_TRUE(store.ok());
-  auto queries = RandomQueries(1, 8, 86);
-
-  int total = 0;
-  {
-    ScanControl control;
-    control.checkpoint = [&] { ++total; };
-    auto out = store->TopK(queries[0], 10, EmptySeenSet(), control);
-    EXPECT_EQ(out.size(), 10u);
-    ExpectIdenticalResults(out, store->TopK(queries[0], 10));
-  }
-  EXPECT_EQ(total, static_cast<int>(store->num_lists()));
-
-  CancellationToken token;
-  ScanControl control;
-  control.cancel = &token;
-  std::vector<SearchResult> out;
-  int hit = RunBlockThenCancel(token, control, [&] {
-    out = store->TopK(queries[0], 10, EmptySeenSet(), control);
-  });
-  EXPECT_EQ(hit, 1);
-  EXPECT_TRUE(out.empty());
 }
 
 // ------------------------------------------------- service-layer wiring --

@@ -73,6 +73,24 @@ TEST(ExactStoreTest, ExcludingEverythingYieldsEmpty) {
   EXPECT_TRUE(hits.empty());
 }
 
+TEST(ExactStoreTest, MatchesBruteForceOracle) {
+  // The exact scan is the accuracy reference for every approximate backend;
+  // pin it, bit for bit, to the independent brute-force scan across seen
+  // densities on both sides of the compaction threshold.
+  MatrixF table = RandomTable(300, 12, 15);
+  auto store = ExactStore::Create(table);
+  ASSERT_TRUE(store.ok());
+  auto queries = test_util::RandomQueries(3, 12, 16);
+  for (double fraction : {0.0, 0.3, 0.8}) {
+    SeenSet seen = test_util::RandomSeenSet(300, fraction, 17);
+    for (const VectorF& q : queries) {
+      test_util::ExpectIdenticalResults(
+          store->TopK(q, 40, seen),
+          test_util::BruteForceTopK(table, q, 40, seen));
+    }
+  }
+}
+
 TEST(RecallAgainstTest, ComputesOverlapFraction) {
   std::vector<SearchResult> truth = {{1, .9f}, {2, .8f}, {3, .7f}, {4, .6f}};
   std::vector<SearchResult> got = {{2, .8f}, {9, .7f}, {4, .6f}, {8, .1f}};

@@ -1,6 +1,8 @@
-// Cross-backend parity for the batched query engine: TopKBatch must return
-// exactly what per-query TopK returns — same ids, same scores, same order —
-// on every backend, with and without exclusions, serial and pooled.
+// Cross-backend parity for the one scan path, TopKBatch: the exact store must
+// return exactly what an independent brute-force scan returns, and every
+// backend must answer each query of a batch exactly as it answers that
+// query alone (TopK, a batch of one) — same ids, same scores, same order —
+// with and without exclusions, serial and pooled.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,17 +26,27 @@ using test_util::ExpectIdenticalResults;
 using test_util::RandomQueries;
 using test_util::RandomTable;
 
-/// Asserts TopKBatch == per-query TopK for every query, with `pool` possibly
-/// null and `seen` possibly empty.
+/// Asserts TopKBatch(queries)[q] == want(queries[q]) for every query, with
+/// `pool` possibly null and `seen` possibly empty.
+template <typename Want>
 void CheckParity(const VectorStore& store, const std::vector<VectorF>& queries,
-                 size_t k, const SeenSet& seen, ThreadPool* pool) {
+                 size_t k, const SeenSet& seen, ThreadPool* pool, Want want) {
   std::vector<VecSpan> spans = test_util::AsSpans(queries);
   auto batched =
       store.TopKBatch(std::span<const VecSpan>(spans), k, seen, pool);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t q = 0; q < spans.size(); ++q) {
-    ExpectIdenticalResults(batched[q], store.TopK(spans[q], k, seen));
+    ExpectIdenticalResults(batched[q], want(spans[q]));
   }
+}
+
+/// Batching independence for approximate backends: every query of a batch
+/// gets what it gets alone.
+void CheckBatchOfOneParity(const VectorStore& store,
+                           const std::vector<VectorF>& queries, size_t k,
+                           const SeenSet& seen, ThreadPool* pool) {
+  CheckParity(store, queries, k, seen, pool,
+              [&](VecSpan q) { return store.TopK(q, k, seen); });
 }
 
 class TopKBatchParityTest : public ::testing::Test {
@@ -50,64 +62,85 @@ class TopKBatchParityTest : public ::testing::Test {
   SeenSet seen_;
 };
 
-TEST_F(TopKBatchParityTest, ExactStoreMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, ExactStoreMatchesBruteForce) {
   auto store = ExactStore::Create(table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
+  const SeenSet* seens[] = {&EmptySeenSet(), &seen_};
+  ThreadPool* pools[] = {nullptr, &pool};
   for (size_t k : {1u, 10u, 50u, 1000u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    for (const SeenSet* seen : seens) {
+      for (ThreadPool* p : pools) {
+        CheckParity(*store, queries_, k, *seen, p, [&](VecSpan q) {
+          return test_util::BruteForceTopK(table_, q, k, *seen);
+        });
+      }
+    }
+    for (VecSpan q : test_util::AsSpans(queries_)) {
+      ExpectIdenticalResults(store->TopK(q, k, seen_),
+                             test_util::BruteForceTopK(table_, q, k, seen_));
+    }
   }
 }
 
-TEST_F(TopKBatchParityTest, IvfIndexMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, IvfIndexBatchesLikeSingleQueries) {
   auto store = IvfFlatIndex::Build({}, table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
   for (size_t k : {1u, 10u, 50u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    CheckBatchOfOneParity(*store, queries_, k, EmptySeenSet(), nullptr);
+    CheckBatchOfOneParity(*store, queries_, k, seen_, nullptr);
+    CheckBatchOfOneParity(*store, queries_, k, seen_, &pool);
   }
 }
 
-TEST_F(TopKBatchParityTest, AnnoyIndexMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, AnnoyIndexBatchesLikeSingleQueries) {
   auto store = AnnoyIndex::Build({}, table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
   for (size_t k : {1u, 10u, 50u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    CheckBatchOfOneParity(*store, queries_, k, EmptySeenSet(), nullptr);
+    CheckBatchOfOneParity(*store, queries_, k, seen_, nullptr);
+    CheckBatchOfOneParity(*store, queries_, k, seen_, &pool);
   }
 }
 
-TEST_F(TopKBatchParityTest, BaseClassSerialFallbackMatches) {
-  // Exercise the VectorStore default implementation via a thin subclass that
-  // only implements the scalar virtuals.
-  class Minimal : public VectorStore {
+TEST_F(TopKBatchParityTest, BaseTopKIsABatchOfOne) {
+  // A backend implements only TopKBatch; the base TopK forwards one query
+  // with no pool, and maps an empty outer result (a cancelled or failed
+  // remote scan) to {} instead of touching a missing front().
+  class BatchOnly : public VectorStore {
    public:
-    explicit Minimal(ExactStore inner) : inner_(std::move(inner)) {}
+    BatchOnly(ExactStore inner, bool fail)
+        : inner_(std::move(inner)), fail_(fail) {}
     size_t size() const override { return inner_.size(); }
     size_t dim() const override { return inner_.dim(); }
-    std::vector<SearchResult> TopK(VecSpan query, size_t k,
-                                   const SeenSet& seen,
-                                   const ScanControl& control) const override {
-      return inner_.TopK(query, k, seen, control);
+    std::vector<std::vector<SearchResult>> TopKBatch(
+        std::span<const VecSpan> queries, size_t k, const SeenSet& seen,
+        ThreadPool* pool, const ScanControl& control) const override {
+      EXPECT_EQ(queries.size(), 1u);
+      EXPECT_EQ(pool, nullptr);
+      if (fail_) return {};
+      return inner_.TopKBatch(queries, k, seen, pool, control);
     }
-    using VectorStore::TopK;
+    using VectorStore::TopKBatch;
     VecSpan GetVector(uint32_t id) const override {
       return inner_.GetVector(id);
     }
 
    private:
     ExactStore inner_;
+    bool fail_;
   };
   auto store = ExactStore::Create(table_);
   ASSERT_TRUE(store.ok());
-  Minimal minimal(std::move(*store));
-  CheckParity(minimal, queries_, 25, seen_, nullptr);
+  BatchOnly working(*store, /*fail=*/false);
+  BatchOnly failing(std::move(*store), /*fail=*/true);
+  for (VecSpan q : test_util::AsSpans(queries_)) {
+    ExpectIdenticalResults(working.TopK(q, 25, seen_),
+                           test_util::BruteForceTopK(table_, q, 25, seen_));
+    EXPECT_TRUE(failing.TopK(q, 25, seen_).empty());
+  }
 }
 
 TEST(TopKBatchTest, EmptyQueryBatchReturnsEmpty) {
