@@ -145,7 +145,7 @@ ServingFlags ParseFlags(int argc, char** argv) {
 // driver workers (the PrefetchBudget atomic-counter exemption).
 struct Counters {
   std::atomic<uint64_t> requests_ok{0};
-  std::atomic<uint64_t> sheds{0};            // RETRY_LATER replies received
+  std::atomic<uint64_t> sheds{0};            // client resends of RETRY_LATER
   std::atomic<uint64_t> protocol_errors{0};  // anything else that failed
   std::atomic<uint64_t> sessions_completed{0};
   std::atomic<uint64_t> sessions_failed{0};
@@ -170,39 +170,36 @@ struct Recorder {
   }
 };
 
-// Runs `op` until it succeeds or fails non-retriably. A RETRY_LATER shed
-// (typed ResourceExhausted + retriable wire code) is the server asking us to
-// back off: sleep a ramping backoff and resend the identical call. Anything
-// else — transport errors included — is a protocol error. The attempt cap
-// bounds the worst case so an unhealthy server cannot hang the bench.
-template <typename Op>
-Status RetryCall(net::SeeSawClient& client, Counters& counters, Op&& op) {
-  constexpr int kMaxAttempts = 500;
-  for (int attempt = 1;; ++attempt) {
-    Status s = op();
-    if (s.ok()) {
-      counters.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-    if (s.code() == StatusCode::kResourceExhausted &&
-        net::IsRetriable(client.last_wire_error()) && attempt < kMaxAttempts) {
-      counters.sheds.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::min(attempt, 10)));
-      continue;
-    }
-    counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return s;
-  }
+// The client resends RETRY_LATER sheds itself: up to 500 attempts with a
+// 1-10 ms backoff, so an unhealthy server cannot hang the bench.
+net::RpcOptions ServingRpcOptions() {
+  net::RpcOptions options;
+  options.max_retries = 499;
+  options.backoff_initial_seconds = 0.001;
+  options.backoff_max_seconds = 0.010;
+  return options;
 }
 
-// RetryCall plus perceived-latency accounting: on success, the whole blocked
-// span (retries and backoff sleeps included) is one latency sample.
+// Runs one client call and books its outcome: ok or protocol error, plus
+// the sheds the client absorbed on the way.
+template <typename Op>
+Status CountedCall(net::SeeSawClient& client, Counters& counters, Op&& op) {
+  const uint64_t retries_before = client.retries();
+  Status s = op();
+  counters.sheds.fetch_add(client.retries() - retries_before,
+                           std::memory_order_relaxed);
+  (s.ok() ? counters.requests_ok : counters.protocol_errors)
+      .fetch_add(1, std::memory_order_relaxed);
+  return s;
+}
+
+// CountedCall plus perceived-latency accounting: on success, the whole
+// blocked span (resends and backoff sleeps included) is one latency sample.
 template <typename Op>
 Status TimedCall(net::SeeSawClient& client, Counters& counters,
                  Recorder& recorder, CallKind kind, Op&& op) {
   Stopwatch sw;
-  Status s = RetryCall(client, counters, std::forward<Op>(op));
+  Status s = CountedCall(client, counters, std::forward<Op>(op));
   if (s.ok()) recorder.Add(kind, sw.ElapsedMillis());
   return s;
 }
@@ -267,8 +264,9 @@ class WireSearcher : public core::Searcher {
         recorder_(recorder) {}
 
   ~WireSearcher() override {
-    Status s = RetryCall(client_, counters_,
-                         [this] { return client_.CloseSession(session_id_); });
+    Status s = CountedCall(client_, counters_, [this] {
+      return client_.CloseSession(session_id_);
+    });
     if (s.ok()) {
       counters_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
     }
@@ -332,7 +330,8 @@ size_t RunGate(const ServingFlags& flags, Environment& env,
   ThreadPool drivers(std::min<size_t>(4, flags.sessions));
   drivers.ParallelFor(flags.sessions, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      auto client = net::SeeSawClient::Connect(host, port);
+      auto client =
+          net::SeeSawClient::Connect(host, port, ServingRpcOptions());
       SEESAW_CHECK(client.ok()) << client.status().ToString();
       uint64_t sid = 0;
       Status s = TimedCall(*client, counters, recorder, kCreate, [&] {
@@ -433,7 +432,8 @@ void RunLoad(const ServingFlags& flags, Environment& env,
     *think_next = true;
     switch (d.phase) {
       case SessionDriver::kStart: {
-        auto client = net::SeeSawClient::Connect(host, port);
+        auto client =
+            net::SeeSawClient::Connect(host, port, ServingRpcOptions());
         if (!client.ok()) {
           counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
           return false;
@@ -476,8 +476,8 @@ void RunLoad(const ServingFlags& flags, Environment& env,
         return true;
       }
       case SessionDriver::kClose: {
-        Status s = RetryCall(*d.client, counters,
-                             [&] { return d.client->CloseSession(d.sid); });
+        Status s = CountedCall(*d.client, counters,
+                               [&] { return d.client->CloseSession(d.sid); });
         d.client.reset();
         if (s.ok()) {
           counters.sessions_completed.fetch_add(1, std::memory_order_relaxed);

@@ -39,15 +39,16 @@ Rules
                     SEESAW_CONCURRENCY_TESTS (CMakeLists.txt) so the TSan CI
                     leg runs it — an unregistered suite is concurrency code
                     TSan never sees.
-  fault-coverage    Every VectorStore implementation declared in src/net/*.h
-                    is remote-backed — its scans can fail in ways no
-                    in-process backend can (dead peer, deadline, shed,
-                    retries) — so it must have a fault-injection suite: a
+  fault-coverage    Every class in src/net/*.h that talks to a peer — a
+                    VectorStore implementation, or any class owning a
+                    Transport or an RpcChannel — can fail in ways no
+                    in-process code can (dead peer, deadline, shed,
+                    retries), so it must have a fault-injection suite: a
                     tests/*.cc that includes its header AND
                     tests/fault_socket.h (the scripted Transport harness)
-                    and is registered in SEESAW_CONCURRENCY_TESTS. A remote
-                    store whose failure semantics nothing exercises would
-                    rot into hangs or silent partials.
+                    and is registered in SEESAW_CONCURRENCY_TESTS. A client
+                    whose failure semantics nothing exercises would rot
+                    into hangs or silent partials.
   net-sockets       Raw socket/poll syscalls and their headers are confined
                     to src/net/ (PR 8): everything else goes through the
                     SeeSawClient/SeeSawServer seam, so there is exactly one
@@ -313,8 +314,9 @@ def check_concurrency_tests(root: Path) -> list[str]:
 
 
 # ------------------------------------------------------------- fault-coverage
-# A VectorStore implementation declared in src/net is remote-backed: its
-# scans can fail in ways no in-process backend can (dead peer, per-request
+# A class declared in src/net that talks to a peer — a VectorStore there is
+# remote-backed, and any class owning a Transport or an RpcChannel is an RPC
+# client — can fail in ways no in-process code can (dead peer, per-request
 # deadline, RETRY_LATER shed, exhausted retries). Each such class must have
 # a deterministic fault-injection suite — a tests/*.cc that includes the
 # class's header AND the scripted-transport harness (tests/fault_socket.h)
@@ -323,6 +325,12 @@ def check_concurrency_tests(root: Path) -> list[str]:
 # count: TSan would never see it.
 _REMOTE_STORE_DECL = re.compile(
     r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+(?:store::)?VectorStore\b"
+)
+# A data member holding a connection: `std::unique_ptr<Transport> t_;` or
+# `RpcChannel channel_ SEESAW_GUARDED_BY(mu_);` (parameters end in , or ).
+_CHANNEL_MEMBER = re.compile(
+    r"(?:\bstd::unique_ptr<\s*(?:net::)?Transport\s*>|\b(?:net::)?RpcChannel)"
+    r"\s+\w+\s*(?:SEESAW_GUARDED_BY\([^)]*\)\s*)?[;{=]"
 )
 _FAULT_HARNESS_INCLUDE = re.compile(r'#\s*include\s*"tests/fault_socket\.h"')
 
@@ -345,8 +353,13 @@ def check_fault_coverage(root: Path) -> list[str]:
     errors = []
     for path in sorted(net.glob("*.h")):
         text = _strip_comments(path.read_text())
-        for m in _REMOTE_STORE_DECL.finditer(text):
-            name = m.group(1)
+        peers = {
+            m.group(1): m.start() for m in _REMOTE_STORE_DECL.finditer(text)
+        }
+        for name, start, members in _type_bodies(text):
+            if _CHANNEL_MEMBER.search(members):
+                peers.setdefault(name, start)
+        for name, start in sorted(peers.items(), key=lambda kv: kv[1]):
             header = re.compile(
                 r'#\s*include\s*"net/' + re.escape(path.name) + '"'
             )
@@ -358,10 +371,11 @@ def check_fault_coverage(root: Path) -> list[str]:
             )
             if covered:
                 continue
-            line = text[: m.start()].count("\n") + 1
+            line = text[:start].count("\n") + 1
             errors.append(
                 f"{path.relative_to(root)}:{line}: [fault-coverage] "
-                f"'{name}' is a remote-backed VectorStore with no "
+                f"'{name}' talks to a peer (a VectorStore, or owns a "
+                "Transport/RpcChannel) with no "
                 "fault-injection suite — add a tests/*.cc that includes "
                 f'"net/{path.name}" and "tests/fault_socket.h" and register '
                 "it in SEESAW_CONCURRENCY_TESTS, so dead-peer/deadline/retry "
@@ -559,6 +573,16 @@ def self_test() -> int:
             "  size_t size() const override;\n"
             "};\n",
         )
+        # An RPC client owning a channel, covered by wire_test too.
+        _write(
+            root / "src/net/client.h",
+            "class MiniClient {\n"
+            " public:\n"
+            "  explicit MiniClient(RpcChannel channel);\n"
+            " private:\n"
+            "  RpcChannel channel_;\n"
+            "};\n",
+        )
         _write(
             root / "src/net/socket.cc",
             "#include <sys/socket.h>\n"
@@ -684,6 +708,23 @@ def self_test() -> int:
                 f"self-test 'fault-coverage': expected exactly the 1 seeded "
                 f"violation (the covered MiniRemote must stay clean), got: "
                 f"{fault_errors}"
+            )
+        # ...and a class owning a Transport, with no suite at all.
+        _write(
+            root / "src/net/rogue_client.h",
+            "class RogueClient {\n"
+            "  std::unique_ptr<net::Transport> transport_;\n"
+            "};\n",
+        )
+        fault_errors = check_fault_coverage(root)
+        if (
+            sum("[fault-coverage]" in e for e in fault_errors) != 2
+            or sum("'RogueClient'" in e for e in fault_errors) != 1
+        ):
+            failures.append(
+                f"self-test 'fault-coverage': expected RogueClient flagged "
+                f"exactly once beside RogueRemote (the covered MiniClient "
+                f"must stay clean), got: {fault_errors}"
             )
 
         # atomic-layout: adjacent raw atomics without padding or exemption,

@@ -1,105 +1,38 @@
 #include "net/client.h"
 
+#include <limits>
 #include <utility>
 
 namespace seesaw::net {
 
 namespace {
 
-/// Largest reply payload the client will read. A reply header is untrusted
-/// input: without this cap a corrupt or hostile length prefix (up to ~4GB)
-/// drives a matching allocation and a read that blocks until that much
-/// data arrives. Far above any legitimate reply, far below harm.
-constexpr size_t kMaxReplyPayloadBytes = 64u << 20;
-
-/// The Status a wire error surfaces as. Both shedding codes map to
-/// ResourceExhausted — the same code the in-process manager returns for
-/// quota/busy — so drivers written against the manager behave identically
-/// against the wire; last_wire_error() disambiguates when it matters.
-Status StatusForWire(WireError code, const std::string& message) {
-  std::string text =
-      std::string(WireErrorName(code)) + ": " + message;
-  switch (code) {
-    case WireError::kRetryLater:
-    case WireError::kQuotaExceeded:
-      return Status::ResourceExhausted(std::move(text));
-    case WireError::kNotFound:
-      return Status::NotFound(std::move(text));
-    case WireError::kInvalidArgument:
-    case WireError::kMalformedFrame:
-      return Status::InvalidArgument(std::move(text));
-    case WireError::kUnsupportedVersion:
-      return Status::FailedPrecondition(std::move(text));
-    case WireError::kUnknownType:
-      return Status::Unimplemented(std::move(text));
-    case WireError::kShuttingDown:
-      return Status::IoError(std::move(text));
-    default:
-      return Status::Internal(std::move(text));
+StatusOr<uint64_t> CreateVia(RpcChannel& channel,
+                             const CreateSessionRequest& req) {
+  SEESAW_ASSIGN_OR_RETURN(
+      std::string payload,
+      channel.RoundTrip(FrameType::kCreateSession,
+                        EncodeCreateSessionRequest(req)));
+  CreateSessionReply reply;
+  if (!DecodeCreateSessionReply(payload, &reply)) {
+    return Status::IoError("CreateSession reply malformed");
   }
+  return reply.session_id;
 }
 
 }  // namespace
 
 StatusOr<SeeSawClient> SeeSawClient::Connect(const std::string& host,
-                                             uint16_t port) {
-  SEESAW_ASSIGN_OR_RETURN(Fd fd, ConnectTcp(host, port));
-  return SeeSawClient(std::move(fd));
+                                             uint16_t port,
+                                             RpcOptions options) {
+  SEESAW_ASSIGN_OR_RETURN(std::unique_ptr<TcpTransport> transport,
+                          TcpTransport::Connect(host, port));
+  return Create(std::move(transport), std::move(options));
 }
 
-StatusOr<std::string> SeeSawClient::RoundTrip(FrameType request,
-                                              std::string payload) {
-  const uint64_t id = next_request_id_++;
-  SEESAW_RETURN_IF_ERROR(
-      WriteAll(fd_.get(), EncodeFrame(request, id, payload)));
-
-  FrameHeader header;
-  std::string reply_payload;
-  for (;;) {
-    std::string header_bytes;
-    SEESAW_RETURN_IF_ERROR(
-        ReadExactly(fd_.get(), kHeaderBytes, &header_bytes));
-    if (!DecodeHeader(header_bytes, &header)) {
-      last_wire_error_ = WireError::kMalformedFrame;
-      return Status::IoError("reply frame has bad magic");
-    }
-    if (header.payload_len > kMaxReplyPayloadBytes) {
-      last_wire_error_ = WireError::kMalformedFrame;
-      return Status::IoError("reply payload exceeds the client size cap");
-    }
-    reply_payload.clear();
-    if (header.payload_len > 0) {
-      SEESAW_RETURN_IF_ERROR(
-          ReadExactly(fd_.get(), header.payload_len, &reply_payload));
-    }
-    if (header.request_id == id) break;
-    // Ids are issued in increasing order on this connection, so a smaller
-    // id is a stale duplicate of an already-answered request (e.g. a buggy
-    // or faulty peer repeating a reply) — skip it and keep waiting for
-    // ours. A LARGER id can never be legitimate (we haven't sent it yet):
-    // the stream is out of sync, abandon it.
-    if (header.request_id > id) {
-      last_wire_error_ = WireError::kInternal;
-      return Status::IoError("reply carries a foreign request id");
-    }
-  }
-  if (header.type == FrameType::kError) {
-    ErrorReply error;
-    if (!DecodeErrorReply(reply_payload, &error)) {
-      last_wire_error_ = WireError::kMalformedFrame;
-      return Status::IoError("error reply payload malformed");
-    }
-    last_wire_error_ = error.code;
-    return StatusForWire(error.code, error.message);
-  }
-  const auto expected = static_cast<FrameType>(
-      static_cast<uint16_t>(request) | kReplyBit);
-  if (header.type != expected) {
-    last_wire_error_ = WireError::kInternal;
-    return Status::IoError("reply type does not match the request");
-  }
-  last_wire_error_ = WireError::kNone;
-  return reply_payload;
+SeeSawClient SeeSawClient::Create(std::unique_ptr<Transport> transport,
+                                  RpcOptions options) {
+  return SeeSawClient(RpcChannel(std::move(transport), std::move(options)));
 }
 
 StatusOr<uint64_t> SeeSawClient::CreateSession(const std::string& text_query,
@@ -108,14 +41,7 @@ StatusOr<uint64_t> SeeSawClient::CreateSession(const std::string& text_query,
   req.user = user;
   req.by_vector = false;
   req.text_query = text_query;
-  SEESAW_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(FrameType::kCreateSession, EncodeCreateSessionRequest(req)));
-  CreateSessionReply reply;
-  if (!DecodeCreateSessionReply(payload, &reply)) {
-    return Status::IoError("CreateSession reply malformed");
-  }
-  return reply.session_id;
+  return CreateVia(channel_, req);
 }
 
 StatusOr<uint64_t> SeeSawClient::CreateSessionFromVector(
@@ -124,24 +50,20 @@ StatusOr<uint64_t> SeeSawClient::CreateSessionFromVector(
   req.user = user;
   req.by_vector = true;
   req.query_vector = std::move(query_vector);
-  SEESAW_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(FrameType::kCreateSession, EncodeCreateSessionRequest(req)));
-  CreateSessionReply reply;
-  if (!DecodeCreateSessionReply(payload, &reply)) {
-    return Status::IoError("CreateSession reply malformed");
-  }
-  return reply.session_id;
+  return CreateVia(channel_, req);
 }
 
 StatusOr<std::vector<core::ScoredImage>> SeeSawClient::NextBatch(
     uint64_t session_id, size_t n) {
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("NextBatch n exceeds the u32 wire field");
+  }
   NextBatchRequest req;
   req.session_id = session_id;
   req.n = static_cast<uint32_t>(n);
   SEESAW_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kNextBatch, EncodeNextBatchRequest(req)));
+      channel_.RoundTrip(FrameType::kNextBatch, EncodeNextBatchRequest(req)));
   NextBatchReply reply;
   if (!DecodeNextBatchReply(payload, &reply)) {
     return Status::IoError("NextBatch reply malformed");
@@ -154,25 +76,28 @@ Status SeeSawClient::AddFeedback(uint64_t session_id,
   AddFeedbackRequest req;
   req.session_id = session_id;
   req.feedback = feedback;
-  return RoundTrip(FrameType::kAddFeedback, EncodeAddFeedbackRequest(req))
+  return channel_
+      .RoundTrip(FrameType::kAddFeedback, EncodeAddFeedbackRequest(req))
       .status();
 }
 
 Status SeeSawClient::Refit(uint64_t session_id) {
   SessionRequest req;
   req.session_id = session_id;
-  return RoundTrip(FrameType::kRefit, EncodeSessionRequest(req)).status();
+  return channel_.RoundTrip(FrameType::kRefit, EncodeSessionRequest(req))
+      .status();
 }
 
 Status SeeSawClient::CloseSession(uint64_t session_id) {
   SessionRequest req;
   req.session_id = session_id;
-  return RoundTrip(FrameType::kCloseSession, EncodeSessionRequest(req))
+  return channel_
+      .RoundTrip(FrameType::kCloseSession, EncodeSessionRequest(req))
       .status();
 }
 
 Status SeeSawClient::Ping() {
-  return RoundTrip(FrameType::kPing, "").status();
+  return channel_.RoundTrip(FrameType::kPing, "").status();
 }
 
 }  // namespace seesaw::net

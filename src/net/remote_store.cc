@@ -1,60 +1,14 @@
 #include "net/remote_store.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <thread>
 #include <utility>
 
-#include "common/stopwatch.h"
-
 namespace seesaw::store {
-
-namespace {
-
-/// The Status a store-frame wire error surfaces as (same table as the
-/// session client's, minus the session-only codes).
-Status StatusForWire(net::WireError code, const std::string& message) {
-  std::string text = std::string(net::WireErrorName(code)) + ": " + message;
-  switch (code) {
-    case net::WireError::kRetryLater:
-    case net::WireError::kQuotaExceeded:
-      return Status::ResourceExhausted(std::move(text));
-    case net::WireError::kNotFound:
-      return Status::NotFound(std::move(text));
-    case net::WireError::kInvalidArgument:
-    case net::WireError::kMalformedFrame:
-      return Status::InvalidArgument(std::move(text));
-    case net::WireError::kUnsupportedVersion:
-      return Status::FailedPrecondition(std::move(text));
-    case net::WireError::kUnknownType:
-      return Status::Unimplemented(std::move(text));
-    case net::WireError::kShuttingDown:
-      return Status::IoError(std::move(text));
-    default:
-      return Status::Internal(std::move(text));
-  }
-}
-
-}  // namespace
-
-double BackoffDelaySeconds(const RemoteStoreOptions& options, size_t attempt,
-                           Rng& rng) {
-  // exp2 of a small attempt count cannot overflow before min() caps it:
-  // clamp the exponent anyway so a pathological attempt number stays finite.
-  double factor = std::exp2(static_cast<double>(std::min<size_t>(attempt, 60)));
-  double base =
-      std::min(options.backoff_initial_seconds * factor,
-               options.backoff_max_seconds);
-  return base * rng.Uniform(0.5, 1.0);
-}
 
 RemoteStore::RemoteStore(std::unique_ptr<net::Transport> transport,
                          RemoteStoreOptions options, uint64_t size,
                          uint32_t dim)
-    : transport_(std::move(transport)),
-      options_(std::move(options)),
-      backoff_rng_(options_.backoff_seed),
+    : channel_(std::move(transport), std::move(options)),
       size_(size),
       dim_(dim) {}
 
@@ -74,7 +28,7 @@ StatusOr<std::unique_ptr<RemoteStore>> RemoteStore::Create(
   MutexLock lock(store->mu_);
   SEESAW_ASSIGN_OR_RETURN(
       std::string payload,
-      store->RoundTrip(net::FrameType::kStoreInfo, "", nullptr));
+      store->channel_.RoundTrip(net::FrameType::kStoreInfo, ""));
   net::StoreInfoReply info;
   if (!net::DecodeStoreInfoReply(payload, &info)) {
     return Status::IoError("StoreInfo reply malformed");
@@ -82,88 +36,6 @@ StatusOr<std::unique_ptr<RemoteStore>> RemoteStore::Create(
   store->size_ = info.size;
   store->dim_ = info.dim;
   return store;
-}
-
-StatusOr<std::string> RemoteStore::TryOnce(
-    net::FrameType type, std::string_view payload, uint64_t request_id,
-    const CancellationToken* cancel) const {
-  SEESAW_RETURN_IF_ERROR(
-      transport_->Send(net::EncodeFrame(type, request_id, payload)));
-  Stopwatch clock;
-  net::FrameHeader header;
-  std::string reply;
-  for (;;) {
-    double left = options_.request_deadline_seconds;
-    if (left > 0) {
-      left -= clock.ElapsedSeconds();
-      if (left <= 0) {
-        return Status::DeadlineExceeded("request deadline exceeded");
-      }
-    }
-    SEESAW_RETURN_IF_ERROR(transport_->ReadFrame(
-        &header, &reply, options_.max_reply_payload_bytes, left, cancel));
-    if (header.request_id == request_id) break;
-    // Ids on this connection only grow, so a smaller id is a stale
-    // duplicate of an already-consumed reply (a faulty peer repeating
-    // itself): skip it. A larger id cannot be legitimate — abandon the
-    // stream.
-    if (header.request_id > request_id) {
-      return Status::IoError("reply carries a foreign request id");
-    }
-  }
-  if (header.type == net::FrameType::kError) {
-    net::ErrorReply error;
-    if (!net::DecodeErrorReply(reply, &error)) {
-      return Status::IoError("error reply payload malformed");
-    }
-    return StatusForWire(error.code, error.message);
-  }
-  const auto expected = static_cast<net::FrameType>(
-      static_cast<uint16_t>(type) | net::kReplyBit);
-  if (header.type != expected) {
-    return Status::IoError("reply type does not match the request");
-  }
-  return reply;
-}
-
-StatusOr<std::string> RemoteStore::RoundTrip(
-    net::FrameType type, std::string payload,
-    const CancellationToken* cancel) const {
-  Status last;
-  for (size_t attempt = 0;; ++attempt) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return Status::Cancelled("scan cancelled");
-    }
-    // A fresh id per attempt keeps the monotone-id invariant that the
-    // stale-duplicate skip in TryOnce leans on.
-    StatusOr<std::string> reply =
-        TryOnce(type, payload, next_request_id_++, cancel);
-    if (reply.ok()) return reply;
-    last = reply.status();
-    // Retriable failures: graceful shedding (RETRY_LATER ->
-    // ResourceExhausted) waits and resends; transport failures reconnect
-    // first. Everything else — deadline expiry, typed server errors,
-    // cancellation — is final.
-    bool shed = last.code() == StatusCode::kResourceExhausted;
-    bool io = last.code() == StatusCode::kIoError;
-    if ((!shed && !io) || attempt >= options_.max_retries) {
-      if (shed || io) {
-        return Status(last.code(),
-                      "retries exhausted: " + last.message());
-      }
-      return last;
-    }
-    double delay = BackoffDelaySeconds(options_, attempt, backoff_rng_);
-    if (options_.sleep) {
-      options_.sleep(delay);
-    } else {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
-    if (io) {
-      Status rc = transport_->Reconnect();
-      if (!rc.ok()) last = rc;  // next Send fails too; loop counts it down
-    }
-  }
 }
 
 std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
@@ -176,11 +48,13 @@ std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
   for (linalg::VecSpan q : queries) {
     req.queries.emplace_back(q.begin(), q.end());
   }
-  req.k = static_cast<uint32_t>(k);
+  // No scan returns more than size() hits, so clamping first keeps every
+  // valid k's results and makes the narrowing to the u32 wire field exact.
+  req.k = static_cast<uint32_t>(std::min<uint64_t>(k, size_));
   req.seen = seen;
 
   MutexLock lock(mu_);
-  StatusOr<std::string> payload = RoundTrip(
+  StatusOr<std::string> payload = channel_.RoundTrip(
       net::FrameType::kStoreTopKBatch, net::EncodeStoreTopKBatchRequest(req),
       control.cancel);
   if (!payload.ok()) {
@@ -213,9 +87,8 @@ linalg::VecSpan RemoteStore::GetVector(uint32_t id) const {
 
   net::StoreGetVectorRequest req;
   req.id = id;
-  StatusOr<std::string> payload = RoundTrip(
-      net::FrameType::kStoreGetVector, net::EncodeStoreGetVectorRequest(req),
-      nullptr);
+  StatusOr<std::string> payload = channel_.RoundTrip(
+      net::FrameType::kStoreGetVector, net::EncodeStoreGetVectorRequest(req));
   if (!payload.ok()) {
     last_status_ = payload.status();
     return {};

@@ -129,26 +129,6 @@ Status WriteAll(int fd, std::string_view data) {
   return Status::OK();
 }
 
-Status ReadExactly(int fd, size_t n, std::string* out) {
-  size_t start = out->size();
-  out->resize(start + n);
-  size_t off = 0;
-  while (off < n) {
-    ssize_t got = ::recv(fd, out->data() + start + off, n - off, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      out->resize(start + off);
-      return Errno("recv");
-    }
-    if (got == 0) {
-      out->resize(start + off);
-      return Status::IoError("connection closed mid-frame");
-    }
-    off += static_cast<size_t>(got);
-  }
-  return Status::OK();
-}
-
 Status ReadExactlyWithin(int fd, size_t n, std::string* out,
                          double deadline_seconds,
                          const CancellationToken* cancel) {

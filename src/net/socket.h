@@ -58,28 +58,25 @@ StatusOr<Fd> ListenTcp(const std::string& address, uint16_t port,
 /// The local port a bound socket ended up on (resolves port 0).
 StatusOr<uint16_t> LocalPort(int fd);
 
-/// Blocking TCP connect (used by the synchronous client and the load
-/// generator; the server side never connects).
+/// Blocking TCP connect (used by TcpTransport; the server side never
+/// connects).
 StatusOr<Fd> ConnectTcp(const std::string& host, uint16_t port);
 
 /// Writes all of `data`, looping over partial writes and EINTR. Blocking
 /// sockets only.
 Status WriteAll(int fd, std::string_view data);
 
-/// Reads exactly `n` bytes into `out` (appended), looping over partial
-/// reads and EINTR. IoError on EOF before `n` bytes. Blocking sockets only.
-Status ReadExactly(int fd, size_t n, std::string* out);
-
-/// ReadExactly with a per-call deadline and a cancellation token: the wait
-/// is sliced into short poll() intervals so the caller's deadline and token
-/// are both observed within ~50ms even when the peer sends nothing. Returns
+/// Reads exactly `n` bytes into `out` (appended), looping over partial reads
+/// and EINTR, with a per-call deadline and a cancellation token: the wait is
+/// sliced into short poll() intervals so the caller's deadline and token are
+/// both observed within ~50ms even when the peer sends nothing. Returns
 /// DeadlineExceeded when `deadline_seconds` elapses (measured from the call,
 /// <= 0 means no deadline), Cancelled when `cancel` fires (null = not
-/// cancellable), IoError on EOF/reset mid-frame. On any failure `out` keeps
-/// the bytes read so far appended — the caller abandons the connection
-/// either way (the stream cannot be re-synced mid-frame). This is the seam
-/// that lets RemoteStore abandon an in-flight socket wait on cancellation
-/// instead of hanging on a dead peer.
+/// cancellable), IoError on EOF/reset mid-frame. On any failure `out` keeps the
+/// bytes read so far appended — the caller abandons the connection either way
+/// (the stream cannot be re-synced mid-frame). This is the seam that lets an
+/// RpcChannel abandon an in-flight socket wait on cancellation instead of
+/// hanging on a dead peer.
 Status ReadExactlyWithin(int fd, size_t n, std::string* out,
                          double deadline_seconds,
                          const CancellationToken* cancel);

@@ -1,12 +1,13 @@
-// Transport: the byte-stream seam under store::RemoteStore.
+// Transport: the byte-stream seam under net::RpcChannel, the one RPC
+// client that SeeSawClient and store::RemoteStore are built on.
 //
-// RemoteStore's production semantics (deadlines, retries, cancellation,
-// typed degradation) are all decisions about *when to stop waiting on a
-// peer* — none of them need a real socket to be exercised. This interface
-// isolates exactly the three operations RemoteStore performs on a
-// connection, so the fault-injection harness (tests/fault_socket.h) can
-// substitute a scripted in-process peer with a virtual clock and make every
-// failure path deterministic, while production uses TcpTransport over the
+// The channel's semantics (deadlines, retries, reconnects, cancellation)
+// are all decisions about *when to stop waiting on a peer* — none of them
+// need a real socket to be exercised. This interface isolates exactly the
+// three operations the channel performs on a connection, so the
+// fault-injection harness (tests/fault_socket.h) can substitute a scripted
+// in-process peer with a virtual clock and make every failure path
+// deterministic, while production uses TcpTransport over the
 // blocking-socket helpers in socket.h.
 #ifndef SEESAW_NET_TRANSPORT_H_
 #define SEESAW_NET_TRANSPORT_H_
@@ -25,7 +26,7 @@
 namespace seesaw::net {
 
 /// One framed request/reply byte stream to a peer. Not thread-safe: the
-/// owner serializes calls (RemoteStore holds a mutex across each RPC).
+/// owning RpcChannel serializes calls.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -46,7 +47,7 @@ class Transport {
                            const CancellationToken* cancel) = 0;
 
   /// Tears down the current connection (if any) and establishes a fresh
-  /// one. Called by RemoteStore between retry attempts after an IO failure.
+  /// one. Called by RpcChannel before the first send after a failure.
   virtual Status Reconnect() = 0;
 };
 

@@ -26,7 +26,7 @@
 //
 // This header is deliberately socket-free (pure bytes <-> structs) so the
 // codec is unit-testable and fuzzable without a server; all raw socket use
-// lives in socket.cc / server.cc / client.cc (scripts/check_invariants.py
+// lives in socket.cc / server.cc (scripts/check_invariants.py
 // confines it to src/net/).
 #ifndef SEESAW_NET_WIRE_H_
 #define SEESAW_NET_WIRE_H_
@@ -113,6 +113,16 @@ std::string_view WireErrorName(WireError code);
 /// same frame (the shedding contract).
 inline bool IsRetriable(WireError code) {
   return code == WireError::kRetryLater;
+}
+
+/// True for request frames a client may resend after an IO failure or a
+/// reconnect: pure reads of server state (Ping and the store frames). The
+/// session frames mutate a session, and the server may already have applied
+/// one whose reply was lost, so they are never resent blind.
+inline bool IsIdempotent(FrameType type) {
+  return type == FrameType::kPing || type == FrameType::kStoreInfo ||
+         type == FrameType::kStoreTopKBatch ||
+         type == FrameType::kStoreGetVector;
 }
 
 struct FrameHeader {

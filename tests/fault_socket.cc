@@ -46,12 +46,12 @@ Status FaultTransport::Send(std::string_view frame) {
       pending_delay_ = step.seconds;
       [[fallthrough]];
     case FaultKind::kPass: {
-      std::string reply = service_.HandleFrame(header, payload);
+      std::string reply = handler_(header, payload);
       inbox_.push_back(std::move(reply));
       break;
     }
     case FaultKind::kDuplicate: {
-      std::string reply = service_.HandleFrame(header, payload);
+      std::string reply = handler_(header, payload);
       // The duplicate is the same reply under the previous request id — a
       // peer that repeated an old answer before the current one.
       net::FrameHeader reply_header;

@@ -1,9 +1,10 @@
-// FaultTransport: a scripted, socket-free peer for RemoteStore.
+// FaultTransport: a scripted, socket-free peer for any RpcChannel client.
 //
-// Implements net::Transport over a StoreFrameService directly — requests
-// are answered in-process by a real local store through the real codecs,
-// but each round trip first consults a fault script that can delay the
-// reply past the deadline, truncate it mid-frame, drop the connection,
+// Implements net::Transport over a frame-handler callback — requests are
+// answered in-process through the real codecs (a StoreFrameService for
+// RemoteStore tests, a small scripted session handler for SeeSawClient
+// tests), but each round trip first consults a fault script that can delay
+// the reply past the deadline, truncate it mid-frame, drop the connection,
 // shed with RETRY_LATER, or deliver a stale duplicate before the real
 // reply. Time is a virtual clock the Delay step advances, and the script
 // is a fixed list consumed in order, so every failure-semantics test is
@@ -22,16 +23,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "net/store_service.h"
 #include "net/transport.h"
 #include "net/wire.h"
-#include "store/vector_store.h"
 
 namespace seesaw::test_util {
 
@@ -68,14 +69,17 @@ inline FaultStep Drop() { return {FaultKind::kDrop}; }
 inline FaultStep Delay(double seconds) { return {FaultKind::kDelay, seconds}; }
 inline FaultStep Duplicate() { return {FaultKind::kDuplicate}; }
 
+/// Answers one request frame with the bytes of its whole reply frame (the
+/// matching reply type or a kError frame, echoing header.request_id).
+using FrameHandler = std::function<std::string(const net::FrameHeader& header,
+                                               std::string_view payload)>;
+
 class FaultTransport : public net::Transport {
  public:
-  /// `store` must outlive the transport. Replies are computed by a
-  /// StoreFrameService over it (serial scans; determinism beats speed in a
-  /// fault test).
-  FaultTransport(const store::VectorStore& store, std::vector<FaultStep> script)
-      : service_(store, /*pool=*/nullptr),
-        script_(script.begin(), script.end()) {}
+  /// Replies come from `handler` (which must outlive the transport when it
+  /// captures by reference).
+  FaultTransport(FrameHandler handler, std::vector<FaultStep> script)
+      : handler_(std::move(handler)), script_(script.begin(), script.end()) {}
 
   Status Send(std::string_view frame) override;
   Status ReadFrame(net::FrameHeader* header, std::string* payload,
@@ -92,7 +96,7 @@ class FaultTransport : public net::Transport {
   size_t steps_left() const { return script_.size(); }
 
  private:
-  net::StoreFrameService service_;
+  FrameHandler handler_;
   std::deque<FaultStep> script_;
   /// Reply frames queued for ReadFrame, front first.
   std::deque<std::string> inbox_;

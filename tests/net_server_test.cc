@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/session_manager.h"
 #include "data/profiles.h"
@@ -68,8 +69,9 @@ struct ServerFixture {
     SEESAW_CHECK(started.ok()) << started.ToString();
   }
 
-  net::SeeSawClient Client() {
-    auto client = net::SeeSawClient::Connect("127.0.0.1", server.port());
+  net::SeeSawClient Client(net::RpcOptions options = {}) {
+    auto client = net::SeeSawClient::Connect("127.0.0.1", server.port(),
+                                             std::move(options));
     SEESAW_CHECK(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -78,14 +80,25 @@ struct ServerFixture {
   net::SeeSawServer server;
 };
 
+/// A client that surfaces every shed instead of resending it, so a test
+/// sees the raw RETRY_LATER and the server counts each request once.
+net::RpcOptions NoRetries() {
+  return net::RpcOptions{.max_retries = 0, .sleep = [](double) {}};
+}
+
+/// Reads exactly `n` bytes off a raw blocking socket (no deadline).
+bool ReadBytes(int fd, size_t n, std::string* out) {
+  return net::ReadExactlyWithin(fd, n, out, 0, nullptr).ok();
+}
+
 /// Reads one whole frame off a raw blocking socket.
 bool ReadFrame(int fd, net::FrameHeader* header, std::string* payload) {
   std::string bytes;
-  if (!net::ReadExactly(fd, net::kHeaderBytes, &bytes).ok()) return false;
+  if (!ReadBytes(fd, net::kHeaderBytes, &bytes)) return false;
   if (!net::DecodeHeader(bytes, header)) return false;
   payload->clear();
   if (header->payload_len == 0) return true;
-  return net::ReadExactly(fd, header->payload_len, payload).ok();
+  return ReadBytes(fd, header->payload_len, payload);
 }
 
 TEST(NetServerTest, PingRoundTrip) {
@@ -180,7 +193,7 @@ TEST(NetServerTest, QuotaExceededIsTyped) {
 
 TEST(NetServerTest, BusySessionShedsRetryLaterThenRecovers) {
   ServerFixture f;  // in-flight cap 1
-  auto client = f.Client();
+  auto client = f.Client(NoRetries());
   auto id = client.CreateSession("car");
   ASSERT_TRUE(id.ok());
 
@@ -225,7 +238,7 @@ TEST(NetServerTest, ConnectionCapShedsWithTypedFrame) {
   EXPECT_EQ(error.code, net::WireError::kRetryLater);
   // Then EOF.
   std::string rest;
-  EXPECT_FALSE(net::ReadExactly(raw->get(), 1, &rest).ok());
+  EXPECT_FALSE(ReadBytes(raw->get(), 1, &rest));
   EXPECT_GE(f.server.stats().connections_shed, 1u);
 
   // The first connection still serves.
@@ -247,7 +260,7 @@ TEST(NetServerTest, MalformedMagicGetsErrorAndClose) {
   ASSERT_TRUE(net::DecodeErrorReply(payload, &error));
   EXPECT_EQ(error.code, net::WireError::kMalformedFrame);
   std::string rest;
-  EXPECT_FALSE(net::ReadExactly(raw->get(), 1, &rest).ok());  // closed
+  EXPECT_FALSE(ReadBytes(raw->get(), 1, &rest));  // closed
   EXPECT_GE(f.server.stats().malformed_frames, 1u);
 }
 
@@ -299,7 +312,7 @@ TEST(NetServerTest, UnsupportedVersionIsTypedAndCloses) {
   ASSERT_TRUE(net::DecodeErrorReply(payload, &error));
   EXPECT_EQ(error.code, net::WireError::kUnsupportedVersion);
   std::string rest;
-  EXPECT_FALSE(net::ReadExactly(raw->get(), 1, &rest).ok());
+  EXPECT_FALSE(ReadBytes(raw->get(), 1, &rest));
 }
 
 TEST(NetServerTest, UnknownTypeKeepsConnectionAlive) {
@@ -473,8 +486,8 @@ TEST(NetServerTest, AdmissionCountersBalanceUnderPingStorm) {
   threads.reserve(kConnections);
   for (int c = 0; c < kConnections; ++c) {
     threads.emplace_back([&f, &answered, &transport_failures] {
-      auto client_or =
-          net::SeeSawClient::Connect("127.0.0.1", f.server.port());
+      auto client_or = net::SeeSawClient::Connect(
+          "127.0.0.1", f.server.port(), NoRetries());
       if (!client_or.ok()) {
         transport_failures.fetch_add(1);
         return;

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <semaphore>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "core/session_manager.h"
 #include "data/profiles.h"
 #include "net/server.h"
+#include "net/store_service.h"
 #include "store/exact_store.h"
 #include "store/sharded_store.h"
 #include "tests/fault_socket.h"
@@ -86,6 +88,18 @@ RemoteStoreOptions FastOptions() {
   return options;
 }
 
+/// A FaultTransport whose peer is a StoreFrameService over `store` (serial
+/// scans; determinism beats speed in a fault test).
+std::unique_ptr<FaultTransport> StorePeer(const VectorStore& store,
+                                          std::vector<FaultStep> script) {
+  net::StoreFrameService service(store, /*pool=*/nullptr);
+  return std::make_unique<FaultTransport>(
+      [service](const net::FrameHeader& header, std::string_view payload) {
+        return service.HandleFrame(header, payload);
+      },
+      std::move(script));
+}
+
 /// A ShardedStore whose children are RemoteStores speaking to in-process
 /// FaultTransport peers, plus everything that must outlive it. `scripts[s]`
 /// is shard s's fault script (missing/short scripts behave as Pass; every
@@ -108,8 +122,7 @@ RemoteSharded MakeRemoteSharded(
     out.peers.push_back(MakeExact(ShardRows(table, num_shards, s), precision));
     std::vector<FaultStep> script;
     if (s < scripts.size()) script = std::move(scripts[s]);
-    auto transport =
-        std::make_unique<FaultTransport>(*out.peers.back(), std::move(script));
+    auto transport = StorePeer(*out.peers.back(), std::move(script));
     out.transports.push_back(transport.get());
     auto remote = RemoteStore::Create(std::move(transport), options);
     SEESAW_CHECK(remote.ok()) << remote.status().ToString();
@@ -134,7 +147,7 @@ RemoteSingle MakeRemoteSingle(const linalg::MatrixF& table,
                               ScanPrecision precision = ScanPrecision::kFloat32) {
   RemoteSingle out;
   out.peer = MakeExact(table, precision);
-  auto transport = std::make_unique<FaultTransport>(*out.peer, std::move(script));
+  auto transport = StorePeer(*out.peer, std::move(script));
   out.transport = transport.get();
   auto remote = RemoteStore::Create(std::move(transport), options);
   SEESAW_CHECK(remote.ok()) << remote.status().ToString();
@@ -453,8 +466,7 @@ TEST(RemoteStoreFaults, PreCancelledScanSkipsRpcAndReportsNothing) {
 TEST(RemoteStoreFaults, CreateFailsTypedOnDeadPeer) {
   linalg::MatrixF table = test_util::RandomTable(40, 8, /*seed=*/35);
   auto peer = MakeExact(table, ScanPrecision::kFloat32);
-  auto transport = std::make_unique<FaultTransport>(
-      *peer, std::vector<FaultStep>{Drop(), Drop(), Drop(), Drop()});
+  auto transport = StorePeer(*peer, {Drop(), Drop(), Drop(), Drop()});
   auto remote = RemoteStore::Create(std::move(transport), FastOptions());
   ASSERT_FALSE(remote.ok());
   EXPECT_EQ(remote.status().code(), StatusCode::kIoError);
@@ -497,6 +509,21 @@ TEST(StoreFrameServiceTest, OversizedKIsClampedToStoreSize) {
       test_util::BruteForceTopK(table, req.queries[0], kRows, req.seen));
 }
 
+// A caller's k wider than the u32 wire field is clamped to size() before
+// it is narrowed: k = 2^32 + 5 returns every row, exactly like k = size(),
+// where a bare cast would have wrapped it to 5.
+TEST(RemoteStoreParity, KBeyondWireWidthIsClampedNotWrapped) {
+  constexpr size_t kRows = 60;
+  linalg::MatrixF table = test_util::RandomTable(kRows, 8, /*seed=*/52);
+  RemoteSingle fx = MakeRemoteSingle(table, {});
+  auto queries = test_util::RandomQueries(1, 8, /*seed=*/53);
+  const size_t wide_k = (size_t{1} << 32) + 5;
+  auto got = fx.remote->TopK(queries[0], wide_k, store::EmptySeenSet());
+  ASSERT_EQ(got.size(), kRows);
+  test_util::ExpectIdenticalResults(
+      got, test_util::BruteForceTopK(table, queries[0], kRows));
+}
+
 // The backoff schedule is exponential, capped, and jittered within the
 // documented envelope: delay(attempt) in [0.5, 1.0) * min(initial * 2^a,
 // max), with the base monotone non-decreasing in the attempt number.
@@ -511,7 +538,7 @@ TEST(RemoteStoreFaults, BackoffScheduleEnvelopeAndMonotonicity) {
       double base = std::min(options.backoff_initial_seconds *
                                  std::exp2(static_cast<double>(attempt)),
                              options.backoff_max_seconds);
-      double delay = store::BackoffDelaySeconds(options, attempt, rng);
+      double delay = net::BackoffDelaySeconds(options, attempt, rng);
       EXPECT_GE(delay, 0.5 * base) << "attempt " << attempt;
       EXPECT_LT(delay, base) << "attempt " << attempt;
       EXPECT_LE(delay, options.backoff_max_seconds);
