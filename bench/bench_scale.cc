@@ -5,12 +5,12 @@
 // interactive at millions of rows. This bench answers it with committed
 // numbers (BENCH_scale.json via scripts/run_scale_suite.sh): batched TopK
 // latency percentiles over {fp32, int8} x store sizes x shard counts, plus
-// the seen-aware scan-policy comparison.
+// a NUMA-placement A/B.
 //
 //   ./bench_scale [--sizes=1M,4M] [--dim=128] [--k=100] [--batch=8]
 //                 [--warmup=1] [--iters=5] [--threads=0] [--shards=0,8]
 //                 [--min-shard-rows=4096] [--centers=64]
-//                 [--policy-seen=0.9] [--min-recall=0.99]
+//                 [--min-recall=0.99]
 //                 [--tmpdir=/tmp] [--json]
 //
 // Size tokens accept K/M suffixes (1M = 1000000). For each size the table
@@ -26,6 +26,8 @@
 //   - a forced-scalar int8 ScoreBlock over a sampled row block must be
 //     bitwise equal to the active SIMD int8 kernel (the within-family
 //     contract, enforced on the exact table the bench scans).
+// And every size checks one high-seen scan: with 90% of rows seen, the
+// pooled fp32 scan must be bitwise equal to the serial one (untimed).
 // A violated gate aborts the bench, so a committed BENCH_scale.json is
 // itself evidence both contracts held at scale.
 //
@@ -33,9 +35,6 @@
 //   kind=scan:   per (n, precision, shards) batched-scan latency stats —
 //                mean/p50/p95/p99 ms, rows/s, GB/s, qps, recall_at_k and
 //                speedup_vs_fp32_p50 on int8 rows.
-//   kind=policy: per (n) the seen-aware scan policy at --policy-seen seen
-//                fraction: compacted unseen-run enumeration vs per-row
-//                skip tests (bitwise-verified equal before timing).
 //   kind=memory: per (n) the NUMA-placement A/B (PR 9): int8 sharded scan
 //                with numa_placement off vs on, bitwise-verified equal
 //                before timing, plus per-scan hardware counters
@@ -79,7 +78,6 @@ struct ScaleArgs {
   std::vector<size_t> shards = {0};  // 0 = unsharded ExactStore
   size_t min_shard_rows = 4096;
   size_t centers = 0;  // 0 = auto: 64 rows per cluster, min 64 centers
-  double policy_seen = 0.9;
   double min_recall = 0.99;
   std::string tmpdir = "/tmp";
   bool json = false;
@@ -142,9 +140,6 @@ struct ScaleArgs {
       }
       if (std::strncmp(a, "--centers=", 10) == 0) {
         args.centers = std::strtoul(a + 10, nullptr, 10);
-      }
-      if (std::strncmp(a, "--policy-seen=", 14) == 0) {
-        args.policy_seen = std::atof(a + 14);
       }
       if (std::strncmp(a, "--min-recall=", 13) == 0) {
         args.min_recall = std::atof(a + 13);
@@ -423,46 +418,20 @@ int Run(int argc, char** argv) {
       }
     }
 
-    // --- seen-policy rows: compacted unseen runs vs per-row skip tests. ---
-    if (args.policy_seen > 0) {
+    // --- high-seen check: 90% of rows seen, pooled == serial bitwise. ---
+    {
       store::SeenSet seen(n);
       Rng seen_rng(93);
       for (size_t i = 0; i < n; ++i) {
-        if (seen_rng.Uniform() < args.policy_seen) {
-          seen.Set(static_cast<uint32_t>(i));
-        }
+        if (seen_rng.Uniform() < 0.9) seen.Set(static_cast<uint32_t>(i));
       }
-      store::ExactStoreOptions compact_options, skip_options;
-      compact_options.compact_seen_fraction = 0.0;  // always compact
-      skip_options.compact_seen_fraction = 2.0;     // never compact
-      auto compact_store = store::ExactStore::Create(table, compact_options);
-      auto skip_store = store::ExactStore::Create(table, skip_options);
-      SEESAW_CHECK(compact_store.ok() && skip_store.ok());
-      // Policy is scan-order-preserving: results must match bitwise.
-      SEESAW_CHECK(SameResults(compact_store->TopK(spans[0], args.k, seen),
-                               skip_store->TopK(spans[0], args.k, seen)))
-          << "compacted scan diverged from skip-test scan at n=" << n;
-      Measurement skip = MeasureScan(*skip_store, spans, n, args.dim * 4,
-                                     args, seen, &pool);
-      Measurement compact = MeasureScan(*compact_store, spans, n,
-                                        args.dim * 4, args, seen, &pool);
-      const double policy_speedup =
-          compact.stats.p50_ms > 0 ? skip.stats.p50_ms / compact.stats.p50_ms
-                                   : 0.0;
-      if (args.json) {
-        std::printf(
-            "{\"kind\":\"policy\",\"n\":%zu,\"dim\":%zu,\"k\":%zu,"
-            "\"batch\":%zu,\"seen\":%.2f,\"skip_p50_ms\":%.3f,"
-            "\"skip_p95_ms\":%.3f,\"compact_p50_ms\":%.3f,"
-            "\"compact_p95_ms\":%.3f,\"compact_speedup_p50\":%.3f}\n",
-            n, args.dim, args.k, args.batch, args.policy_seen,
-            skip.stats.p50_ms, skip.stats.p95_ms, compact.stats.p50_ms,
-            compact.stats.p95_ms, policy_speedup);
-      } else {
-        std::printf("%-9zu policy seen=%.2f: skip_p50=%.2fms "
-                    "compact_p50=%.2fms speedup=%.2fx\n",
-                    n, args.policy_seen, skip.stats.p50_ms,
-                    compact.stats.p50_ms, policy_speedup);
+      auto queries_span = std::span<const linalg::VecSpan>(spans);
+      auto serial = fp32->TopKBatch(queries_span, args.k, seen);
+      auto pooled = fp32->TopKBatch(queries_span, args.k, seen, &pool);
+      SEESAW_CHECK_EQ(serial.size(), pooled.size());
+      for (size_t qi = 0; qi < serial.size(); ++qi) {
+        SEESAW_CHECK(SameResults(serial[qi], pooled[qi]))
+            << "pooled high-seen scan diverged from serial at n=" << n;
       }
     }
 

@@ -18,6 +18,12 @@ Rules
                     is a batch of one over it. A backend-specific TopK would
                     bring back the second path (and the parity tests it
                     needs) that the one-path design deleted.
+  one-seen-walk     No src/store/*.cc but seen_set.cc reads SeenSet::words():
+                    NextUnseenRuns is the one walk of the seen bitmap.
+  one-scatter       Under src/store, MergeTopK( and ParallelFor( appear only
+                    in vector_store.cc (ScatterTopK, the one scatter/merge),
+                    plus the per-query ParallelFor fan-outs of ivf_index.cc
+                    and annoy_index.cc.
   raw-threading     No raw std::thread / std::mutex / std::condition_variable
                     / lock_guard / unique_lock / scoped_lock / detach() in
                     src outside common/ (and none anywhere in bench/ or
@@ -115,20 +121,28 @@ def _sources(root: Path, dirs: tuple[str, ...]):
                 yield path
 
 
-def check_scan_control(root: Path) -> list[str]:
+def _matches(root: Path, paths, pattern: re.Pattern, tag: str, why):
+    """One "[tag]" error per match of `pattern` in the comment-stripped text
+    of each path; `why(path, match)` words the error, or returns None when
+    that match is allowed."""
     errors = []
-    for path in _sources(root, ("src",)):
+    for path in paths:
         text = _strip_comments(path.read_text())
-        for m in _TOPK_SIG.finditer(text):
-            name, params = m.group(1), m.group(2)
-            if "ScanControl" not in params:
+        for m in pattern.finditer(text):
+            reason = why(path, m)
+            if reason is not None:
                 line = text[: m.start()].count("\n") + 1
-                errors.append(
-                    f"{path.relative_to(root)}:{line}: [scan-control] "
-                    f"{name} override does not take a store::ScanControl — "
-                    "in-scan cancellation would be dropped for this backend"
-                )
+                errors.append(f"{path.relative_to(root)}:{line}: [{tag}] {reason}")
     return errors
+
+
+def check_scan_control(root: Path) -> list[str]:
+    return _matches(
+        root, _sources(root, ("src",)), _TOPK_SIG, "scan-control",
+        lambda path, m: None if "ScanControl" in m.group(2) else
+        f"{m.group(1)} override does not take a store::ScanControl — "
+        "in-scan cancellation would be dropped for this backend",
+    )
 
 
 # ----------------------------------------------------------- single-scan-path
@@ -139,56 +153,67 @@ _TOPK_OVERRIDE = re.compile(
 
 
 def check_single_scan_path(root: Path) -> list[str]:
-    errors = []
-    for path in _sources(root, ("src", "tools")):
-        text = _strip_comments(path.read_text())
-        for m in _TOPK_OVERRIDE.finditer(text):
-            line = text[: m.start()].count("\n") + 1
-            errors.append(
-                f"{path.relative_to(root)}:{line}: [single-scan-path] TopK "
-                "override — implement TopKBatch only; VectorStore::TopK is "
-                "already a batch of one over it"
-            )
-    return errors
+    return _matches(
+        root, _sources(root, ("src", "tools")), _TOPK_OVERRIDE,
+        "single-scan-path",
+        lambda path, m: "TopK override — implement TopKBatch only; "
+        "VectorStore::TopK is already a batch of one over it",
+    )
+
+
+# -------------------------------------------------------------- one-seen-walk
+_WORDS_READ = re.compile(r"\.words\s*\(\s*\)")
+
+
+def check_one_seen_walk(root: Path) -> list[str]:
+    stores = (root / "src" / "store").glob("*.cc")
+    return _matches(
+        root, sorted(p for p in stores if p.name != "seen_set.cc"),
+        _WORDS_READ, "one-seen-walk",
+        lambda path, m: "reads SeenSet::words() — take unseen runs from "
+        "SeenSet::NextUnseenRuns, the one seen-run walk",
+    )
+
+
+# ---------------------------------------------------------------- one-scatter
+_SCATTER_CALL = re.compile(r"\b(MergeTopK|ParallelFor)\s*\(")
+# Per-query fan-outs (one task per query, no cross-part merge).
+_PER_QUERY_FANOUT = {"ivf_index.cc", "annoy_index.cc"}
+
+
+def _scatter_outside_home(path: Path, m: re.Match):
+    if path.name == "vector_store.cc" or (
+        m.group(1) == "ParallelFor" and path.name in _PER_QUERY_FANOUT
+    ):
+        return None
+    return (f"{m.group(1)} outside store/vector_store.cc — scatter parts and "
+            "merge them through ScatterTopK")
+
+
+def check_one_scatter(root: Path) -> list[str]:
+    return _matches(root, _sources(root, ("src/store",)), _SCATTER_CALL,
+                    "one-scatter", _scatter_outside_home)
 
 
 # -------------------------------------------------------------- raw-threading
-_RAW_THREADING = [
-    (re.compile(r"std::thread\b(?!\s*::)"), "std::thread"),
-    (re.compile(r"std::jthread\b"), "std::jthread"),
-    (re.compile(r"std::(?:timed_|recursive_|shared_)?mutex\b"), "std::mutex"),
-    (re.compile(r"std::condition_variable(?:_any)?\b"), "std::condition_variable"),
-    (re.compile(r"std::lock_guard\b"), "std::lock_guard"),
-    (re.compile(r"std::unique_lock\b"), "std::unique_lock"),
-    (re.compile(r"std::scoped_lock\b"), "std::scoped_lock"),
-    (re.compile(r"\.detach\s*\(\s*\)"), ".detach()"),
-]
+_RAW_THREADING = re.compile(
+    r"std::thread\b(?!\s*::)|std::jthread\b"
+    r"|std::(?:timed_|recursive_|shared_)?mutex\b"
+    r"|std::condition_variable(?:_any)?\b|std::lock_guard\b"
+    r"|std::unique_lock\b|std::scoped_lock\b|\.detach\s*\(\s*\)"
+)
 
 
 def check_raw_threading(root: Path) -> list[str]:
-    errors = []
-    scan_dirs = [root / "src", root / "bench", root / "examples"]
-    for base in scan_dirs:
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in (".h", ".cc", ".cpp"):
-                continue
-            rel = path.relative_to(root)
-            # common/ owns the annotated wrappers and the pool's workers.
-            if rel.parts[:2] == ("src", "common"):
-                continue
-            text = _strip_comments(path.read_text())
-            for pattern, label in _RAW_THREADING:
-                for m in pattern.finditer(text):
-                    line = text[: m.start()].count("\n") + 1
-                    errors.append(
-                        f"{rel}:{line}: [raw-threading] {label} outside "
-                        "src/common — use seesaw::Mutex/MutexLock/CondVar/"
-                        "ThreadPool (common/mutex.h) so -Wthread-safety can "
-                        "see the acquire"
-                    )
-    return errors
+    # common/ owns the annotated wrappers and the pool's workers.
+    paths = [p for p in _sources(root, ("src", "bench", "examples"))
+             if p.relative_to(root).parts[:2] != ("src", "common")]
+    return _matches(
+        root, paths, _RAW_THREADING, "raw-threading",
+        lambda path, m: f"{m.group(0)} outside src/common — use "
+        "seesaw::Mutex/MutexLock/CondVar/ThreadPool (common/mutex.h) so "
+        "-Wthread-safety can see the acquire",
+    )
 
 
 # ---------------------------------------------------------------- kernel-libm
@@ -204,18 +229,13 @@ _KERNEL_FORBIDDEN = re.compile(
 
 
 def check_kernel_libm(root: Path) -> list[str]:
-    errors = []
-    for path in sorted((root / "src" / "linalg").glob("kernels_*.cc")):
-        text = _strip_comments(path.read_text())
-        for m in _KERNEL_FORBIDDEN.finditer(text):
-            line = text[: m.start()].count("\n") + 1
-            errors.append(
-                f"{path.relative_to(root)}:{line}: [kernel-libm] "
-                f"'{m.group(0).strip('(').strip()}' in a kernel file — only "
-                "std::fmaf is inside the fixed accumulation spec; other libm "
-                "reductions break cross-kernel bitwise parity"
-            )
-    return errors
+    return _matches(
+        root, sorted((root / "src" / "linalg").glob("kernels_*.cc")),
+        _KERNEL_FORBIDDEN, "kernel-libm",
+        lambda path, m: f"'{m.group(0).strip('(').strip()}' in a kernel file "
+        "— only std::fmaf is inside the fixed accumulation spec; other libm "
+        "reductions break cross-kernel bitwise parity",
+    )
 
 
 # ---------------------------------------------------------------- net-sockets
@@ -237,32 +257,20 @@ _SOCKET_CALL = re.compile(
 
 
 def check_net_sockets(root: Path) -> list[str]:
-    errors = []
-    scan_dirs = [root / "src", root / "bench", root / "tools", root / "examples"]
-    for base in scan_dirs:
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in (".h", ".cc", ".cpp"):
-                continue
-            rel = path.relative_to(root)
-            # src/net owns the syscall layer.
-            if rel.parts[:2] == ("src", "net"):
-                continue
-            text = _strip_comments(path.read_text())
-            for pattern, label in (
-                (_SOCKET_HEADER, "socket header"),
-                (_SOCKET_CALL, "raw socket syscall"),
-            ):
-                for m in pattern.finditer(text):
-                    line = text[: m.start()].count("\n") + 1
-                    errors.append(
-                        f"{rel}:{line}: [net-sockets] {label} "
-                        f"'{m.group(0).strip()}' outside src/net — go through "
-                        "net::SeeSawClient/SeeSawServer or net/socket.h so fd "
-                        "ownership stays in one place"
-                    )
-    return errors
+    # src/net owns the syscall layer.
+    paths = [p for p in _sources(root, ("src", "bench", "tools", "examples"))
+             if p.relative_to(root).parts[:2] != ("src", "net")]
+    return [
+        error
+        for pattern, label in ((_SOCKET_HEADER, "socket header"),
+                               (_SOCKET_CALL, "raw socket syscall"))
+        for error in _matches(
+            root, paths, pattern, "net-sockets",
+            lambda path, m, label=label: f"{label} '{m.group(0).strip()}' "
+            "outside src/net — go through net::SeeSawClient/SeeSawServer or "
+            "net/socket.h so fd ownership stays in one place",
+        )
+    ]
 
 
 # ---------------------------------------------------------- concurrency-tests
@@ -454,15 +462,12 @@ def check_atomic_layout(root: Path) -> list[str]:
 # ----------------------------------------------------------------- bench-json
 # Latency benches must commit percentiles, not just means (PR 6's contract).
 # Keyed by filename; other BENCH files need only parse and carry rows. Every
-# row needs p50/p95; p99 is additionally required except on kind=="policy"
-# rows (A/B comparison rows commit a p50/p95 pair per arm — p99 is noise at
-# the per-arm sample counts those sweeps use).
+# row of a latency bench needs p50/p95/p99.
 _PERCENTILE_FILES = {
     "BENCH_scale.json": ("p50_ms", "p95_ms", "p99_ms"),
     "BENCH_topk.json": ("p50_ms", "p95_ms", "p99_ms"),
     "BENCH_serving.json": ("p50_ms", "p95_ms", "p99_ms"),
 }
-_P99_EXEMPT_KINDS = {"policy"}
 
 
 def check_bench_json(root: Path) -> list[str]:
@@ -483,10 +488,7 @@ def check_bench_json(root: Path) -> list[str]:
             continue
         for i, row in enumerate(rows):
             keys = set(row)
-            exempt_p99 = row.get("kind") in _P99_EXEMPT_KINDS
             for wanted in suffixes:
-                if wanted == "p99_ms" and exempt_p99:
-                    continue
                 if not any(k.endswith(wanted) for k in keys):
                     errors.append(
                         f"{rel}:1: [bench-json] rows[{i}] carries no "
@@ -500,6 +502,8 @@ def check_bench_json(root: Path) -> list[str]:
 RULES = [
     check_scan_control,
     check_single_scan_path,
+    check_one_seen_walk,
+    check_one_scatter,
     check_raw_threading,
     check_kernel_libm,
     check_net_sockets,
@@ -535,6 +539,14 @@ def self_test() -> int:
                 f"{'violation' if want else 'clean'}, got: {errors or '[]'}"
             )
 
+    def expect_count(name: str, errors: list[str], n: int, why: str) -> None:
+        """Exactly the n seeded [name] violations: `why` must stay clean."""
+        if sum(f"[{name}]" in e for e in errors) != n:
+            failures.append(
+                f"self-test '{name}': expected exactly {n} seeded "
+                f"violation(s) ({why}), got: {errors}"
+            )
+
     with tempfile.TemporaryDirectory(prefix="seesaw-lint-selftest-") as td:
         root = Path(td)
         # A miniature clean tree: every rule must pass on it.
@@ -547,6 +559,20 @@ def self_test() -> int:
             "// TopK(q, k, seen) const override; (comments never count)\n",
         )
         _write(root / "src/core/clean.cc", "int x = 0;  // std::mutex in comment\n")
+        # The seen-run walk, the one scatter/merge and a per-query fan-out
+        # live where the one-seen-walk / one-scatter rules allow them.
+        _write(
+            root / "src/store/seen_set.cc",
+            "size_t n = other.words().size();\n",
+        )
+        _write(
+            root / "src/store/vector_store.cc",
+            "void S() { pool->ParallelFor(n, run); MergeTopK(m, k); }\n",
+        )
+        _write(
+            root / "src/store/ivf_index.cc",
+            "void Q() { pool->ParallelFor(num_queries, fn); }\n",
+        )
         _write(
             root / "src/linalg/kernels_scalar.cc",
             "float f() { return std::fmaf(1.f, 2.f, 3.f); }\n",
@@ -611,10 +637,7 @@ def self_test() -> int:
             root / "BENCH_scale.json",
             json.dumps(
                 {"bench": "scale", "rows": [
-                    {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0},
-                    # policy A/B rows commit p50/p95 per arm, no p99.
-                    {"kind": "policy", "skip_p50_ms": 1.0,
-                     "skip_p95_ms": 2.0}]}
+                    {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}]}
             ),
         )
         clean = run_all(root)
@@ -638,14 +661,28 @@ def self_test() -> int:
             "    const SeenSet& seen, const ScanControl& control)\n"
             "    const override { return {}; }\n",
         )
-        single_errors = check_single_scan_path(root)
-        expect("single-scan-path", single_errors, "[single-scan-path]", True)
-        if sum("[single-scan-path]" in e for e in single_errors) != 1:
-            failures.append(
-                f"self-test 'single-scan-path': expected exactly the 1 seeded "
-                f"violation (TopKBatch overrides must stay clean), got: "
-                f"{single_errors}"
-            )
+        expect_count("single-scan-path", check_single_scan_path(root), 1,
+                     "TopKBatch overrides")
+
+        # one-seen-walk: a store decoding seen bits itself (the comment
+        # mention must not count).
+        _write(
+            root / "src/store/rogue_scan.cc",
+            "// seen.words() in a comment\n"
+            "uint64_t w = seen.words()[0];\n",
+        )
+        expect_count("one-seen-walk", check_one_seen_walk(root), 1,
+                     "seen_set.cc")
+
+        # one-scatter: a store with its own fan-out (its MergeTopK mention
+        # is a comment and must not count).
+        _write(
+            root / "src/store/rogue_sharded.cc",
+            "// merged by MergeTopK(...)\n"
+            "void F() { pool->ParallelFor(num_shards, scan); }\n",
+        )
+        expect_count("one-scatter", check_one_scatter(root), 1,
+                     "vector_store.cc and the per-query fan-outs")
 
         # raw-threading: a std::mutex outside common/.
         _write(root / "src/core/bad_mutex.cc", "static std::mutex mu;\n")
@@ -665,13 +702,7 @@ def self_test() -> int:
             "int n = ::send(3, \"x\", 1, 0);\n",
         )
         _write(root / "tools/bad_tool.cc", "#include <netinet/tcp.h>\n")
-        net_errors = check_net_sockets(root)
-        expect("net-sockets", net_errors, "[net-sockets]", True)
-        if sum("[net-sockets]" in e for e in net_errors) != 2:
-            failures.append(
-                f"self-test 'net-sockets': expected exactly the 2 seeded "
-                f"violations (src/net must stay exempt), got: {net_errors}"
-            )
+        expect_count("net-sockets", check_net_sockets(root), 2, "src/net")
 
         # concurrency-tests: a ThreadPool test not registered in CMake, and
         # an unregistered test that includes a serving header.
@@ -680,14 +711,8 @@ def self_test() -> int:
             root / "tests/rogue_server_test.cc",
             '#include "net/server.h"\nint s = 1;\n',
         )
-        conc_errors = check_concurrency_tests(root)
-        expect("concurrency-tests", conc_errors, "[concurrency-tests]", True)
-        if sum("[concurrency-tests]" in e for e in conc_errors) != 2:
-            failures.append(
-                f"self-test 'concurrency-tests': expected 2 violations "
-                f"(ThreadPool use and serving-header include), got: "
-                f"{conc_errors}"
-            )
+        expect_count("concurrency-tests", check_concurrency_tests(root), 2,
+                     "registered suites")
 
         # fault-coverage: a remote-backed store whose only "coverage" is an
         # unregistered test — header + harness includes alone must not count.
@@ -701,14 +726,8 @@ def self_test() -> int:
             '#include "tests/fault_socket.h"\n'
             "int rr = 1;\n",
         )
-        fault_errors = check_fault_coverage(root)
-        expect("fault-coverage", fault_errors, "[fault-coverage]", True)
-        if sum("[fault-coverage]" in e for e in fault_errors) != 1:
-            failures.append(
-                f"self-test 'fault-coverage': expected exactly the 1 seeded "
-                f"violation (the covered MiniRemote must stay clean), got: "
-                f"{fault_errors}"
-            )
+        expect_count("fault-coverage", check_fault_coverage(root), 1,
+                     "the covered MiniRemote")
         # ...and a class owning a Transport, with no suite at all.
         _write(
             root / "src/net/rogue_client.h",
@@ -717,15 +736,10 @@ def self_test() -> int:
             "};\n",
         )
         fault_errors = check_fault_coverage(root)
-        if (
-            sum("[fault-coverage]" in e for e in fault_errors) != 2
-            or sum("'RogueClient'" in e for e in fault_errors) != 1
-        ):
-            failures.append(
-                f"self-test 'fault-coverage': expected RogueClient flagged "
-                f"exactly once beside RogueRemote (the covered MiniClient "
-                f"must stay clean), got: {fault_errors}"
-            )
+        expect_count("fault-coverage", fault_errors, 2, "the covered MiniClient")
+        expect_count("fault-coverage",
+                     [e for e in fault_errors if "'RogueClient'" in e], 1,
+                     "RogueClient once")
 
         # atomic-layout: adjacent raw atomics without padding or exemption,
         # and a Mutex packed next to a raw atomic.
@@ -740,14 +754,8 @@ def self_test() -> int:
             "  std::atomic<bool> dead_{false};\n"
             "};\n",
         )
-        layout_errors = check_atomic_layout(root)
-        expect("atomic-layout", layout_errors, "[atomic-layout]", True)
-        if sum("[atomic-layout]" in e for e in layout_errors) != 2:
-            failures.append(
-                f"self-test 'atomic-layout': expected exactly the 2 seeded "
-                f"violations (padded/audited/lone/mutex-only types must stay "
-                f"clean), got: {layout_errors}"
-            )
+        expect_count("atomic-layout", check_atomic_layout(root), 2,
+                     "padded/audited/lone/mutex-only types")
 
         # bench-json: a latency baseline without percentiles, junk JSON, and
         # a serving baseline that only committed means.

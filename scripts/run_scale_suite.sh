@@ -19,7 +19,7 @@
 #                                [--batch B] [--warmup N] [--iters N]
 #                                [--threads T] [--shards 0,8]
 #                                [--min-shard-rows N] [--centers N]
-#                                [--policy-seen F] [--min-recall F]
+#                                [--min-recall F]
 #                                [--tmpdir DIR] [--out BENCH_scale.json]
 #                                [--gate] [--gate-min-speedup F]
 #                                [--gate-min-rows-per-sec N]
@@ -46,7 +46,6 @@ THREADS=0
 SHARDS="0,8"
 MIN_SHARD_ROWS=4096
 CENTERS=0
-POLICY_SEEN=0.9
 MIN_RECALL=0.99
 TMPDIR_ARG="${TMPDIR:-/tmp}"
 OUT="$REPO_ROOT/BENCH_scale.json"
@@ -66,7 +65,6 @@ while [[ $# -gt 0 ]]; do
         --shards)          SHARDS="$2"; shift 2 ;;
         --min-shard-rows)  MIN_SHARD_ROWS="$2"; shift 2 ;;
         --centers)         CENTERS="$2"; shift 2 ;;
-        --policy-seen)     POLICY_SEEN="$2"; shift 2 ;;
         --min-recall)      MIN_RECALL="$2"; shift 2 ;;
         --tmpdir)          TMPDIR_ARG="$2"; shift 2 ;;
         --out)             OUT="$2"; shift 2 ;;
@@ -103,7 +101,7 @@ for size in "${size_tokens[@]}"; do
     "$BENCH" --json --sizes="$size" --dim="$DIM" --k="$K" --batch="$BATCH" \
              --warmup="$WARMUP" --iters="$ITERS" --threads="$THREADS" \
              --shards="$SHARDS" --min-shard-rows="$MIN_SHARD_ROWS" \
-             --centers="$CENTERS" --policy-seen="$POLICY_SEEN" \
+             --centers="$CENTERS" \
              --min-recall="$MIN_RECALL" --tmpdir="$TMPDIR_ARG" > "$tmp"
     while IFS= read -r line; do
         [[ -z "$line" ]] && continue
@@ -111,9 +109,9 @@ for size in "${size_tokens[@]}"; do
     done < "$tmp"
 done
 
-printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"shards":"%s","min_shard_rows":%s,"policy_seen":%s,"min_recall":%s},"rows":[%s]}\n' \
+printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"shards":"%s","min_shard_rows":%s,"min_recall":%s},"rows":[%s]}\n' \
     "$SIZES" "$DIM" "$K" "$BATCH" "$WARMUP" "$ITERS" "$THREADS" "$SHARDS" \
-    "$MIN_SHARD_ROWS" "$POLICY_SEEN" "$MIN_RECALL" "$rows" > "$OUT"
+    "$MIN_SHARD_ROWS" "$MIN_RECALL" "$rows" > "$OUT"
 echo "scale JSON written to $OUT" >&2
 
 if [[ "$GATE" == 1 ]]; then

@@ -1,6 +1,7 @@
 #include "net/remote_store.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace seesaw::store {
@@ -32,6 +33,13 @@ StatusOr<std::unique_ptr<RemoteStore>> RemoteStore::Create(
   net::StoreInfoReply info;
   if (!net::DecodeStoreInfoReply(payload, &info)) {
     return Status::IoError("StoreInfo reply malformed");
+  }
+  // Ids on the wire are u32, and GetVector sizes its cache by size(): a
+  // peer claiming more rows than ids can name is misconfigured or hostile.
+  if (info.size == 0 || info.size > UINT32_MAX || info.dim == 0) {
+    return Status::IoError("StoreInfo reply malformed: size " +
+                           std::to_string(info.size) + ", dim " +
+                           std::to_string(info.dim));
   }
   store->size_ = info.size;
   store->dim_ = info.dim;
@@ -65,8 +73,16 @@ std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
     return {};
   }
   net::StoreTopKBatchReply reply;
+  // Sessions index patches by hit id (after ShardedStore's offset), so
+  // every hit must be a row of this peer, and no list may exceed k.
+  auto well_formed = [&](const std::vector<SearchResult>& hits) {
+    return hits.size() <= req.k &&
+           std::all_of(hits.begin(), hits.end(),
+                       [&](const SearchResult& hit) { return hit.id < size_; });
+  };
   if (!net::DecodeStoreTopKBatchReply(*payload, &reply) ||
-      reply.results.size() != queries.size()) {
+      reply.results.size() != queries.size() ||
+      !std::all_of(reply.results.begin(), reply.results.end(), well_formed)) {
     Status bad = Status::IoError("StoreTopKBatch reply malformed");
     last_status_ = bad;
     if (control.errors != nullptr) control.errors->Report(std::move(bad));

@@ -52,7 +52,8 @@ class RemoteStore : public VectorStore {
 
   /// Seam constructor: any Transport (the fault harness injects scripted
   /// ones). Issues one kStoreInfo RPC to learn the peer's size/dim — after
-  /// that, size() and dim() are local.
+  /// that, size() and dim() are local. A peer reporting no rows, more rows
+  /// than u32 ids can name, or dim 0 fails with IoError.
   static StatusOr<std::unique_ptr<RemoteStore>> Create(
       std::unique_ptr<net::Transport> transport, RemoteStoreOptions options);
 
@@ -62,10 +63,12 @@ class RemoteStore : public VectorStore {
   /// One kStoreTopKBatch RPC — the whole batch crosses the wire in a
   /// single frame (the peer parallelizes on its own pool), so `pool` is
   /// unused here. On failure reports to control.errors (when set) and
-  /// returns {}; on cancellation returns {} without reporting. The empty
-  /// outer vector (size mismatch with the query count) is skipped by
-  /// ShardedStore's merge exactly like a cancelled shard, and the base
-  /// TopK turns it into an empty result list.
+  /// returns {}; on cancellation returns {} without reporting. A reply
+  /// with the wrong list count, a list longer than the requested k, or a
+  /// hit id >= size() is malformed: an IoError, never a merged result. The
+  /// empty outer vector (size mismatch with the query count) is skipped by
+  /// ScatterTopK's merge exactly like a cancelled shard, and the base TopK
+  /// turns it into an empty result list.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;

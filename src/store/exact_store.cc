@@ -1,11 +1,9 @@
 #include "store/exact_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
-#include "common/aligned.h"
 #include "common/arena.h"
 #include "common/check.h"
 #include "common/numa.h"
@@ -23,6 +21,12 @@ namespace {
 /// Rows scored per ScoreBlock call in the batched scan. Small enough that a
 /// block (kRowBlock x dim floats) plus the queries stay cache-resident.
 constexpr size_t kRowBlock = 32;
+
+/// Unseen runs a shard scan takes from the seen set per refill (8 KB of
+/// shard scratch), so the refill call is negligible at any seen density.
+/// Chunks of 16 to 1024 runs scanned equally fast (4-core x86, dim 128,
+/// 283k rows, 10-99% seen).
+constexpr size_t kRunChunk = 1024;
 
 /// True if any of scores[0..num) might be admitted against thresholds[0..num)
 /// — i.e. NOT (score < threshold) for some lane. The negated-compare keeps
@@ -44,23 +48,6 @@ inline bool AnyCandidate(const float* scores, const float* thresholds,
     if (!(scores[q] < thresholds[q])) return true;
   }
   return false;
-}
-
-/// First id in [from, limit) whose seen bit is `want_seen`, or limit —
-/// found a word at a time. Ids past the set's capacity read as unseen,
-/// exactly like SeenSet::Test.
-inline size_t FindRow(const SeenSet& seen, size_t from, size_t limit,
-                      bool want_seen) {
-  const std::vector<uint64_t>& words = seen.words();
-  const uint64_t flip = want_seen ? 0 : ~uint64_t{0};
-  for (size_t i = from; i < limit; i = (i | 63) + 1) {
-    if (i >= seen.capacity()) return want_seen ? limit : i;
-    const uint64_t bits = (words[i >> 6] ^ flip) >> (i & 63);
-    if (bits != 0) {
-      return std::min(limit, i + static_cast<size_t>(std::countr_zero(bits)));
-    }
-  }
-  return limit;
 }
 
 }  // namespace
@@ -132,16 +119,6 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     }
   }
 
-  // Scan policy: once most rows are seen, the unseen set is enumerated up
-  // front as run-length compacted intervals instead of run by run as the
-  // scan goes. The intervals are exactly the blocks the streaming walk
-  // produces, so both policies score the same blocks in the same order
-  // (bitwise-identical results, same cancellation checkpoints — one per
-  // scored block).
-  const bool compact_scan =
-      static_cast<double>(seen.count()) >=
-      options_.compact_seen_fraction * static_cast<double>(n);
-
   size_t num_shards = 1;
   if (pool != nullptr && pool->num_threads() > 1) {
     // A couple of shards per worker evens out stragglers; never fewer rows
@@ -151,25 +128,13 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   }
   const size_t rows_per_shard = (n + num_shards - 1) / num_shards;
 
-  // heaps[shard][query]: each shard scans a disjoint row range, so shards
-  // never touch each other's heaps. Each slot is padded to its own cache
-  // line: the inner vector's header (pointer/size) is rewritten on every
-  // Push, and unpadded slots of adjacent shards — 24 bytes apart in one
-  // contiguous vector — would false-share under the per-shard fan-out.
-  // (The heaps themselves still heap-allocate per call: their storage
-  // becomes the returned results, so it cannot come from the scratch
-  // arena, whose spans die at lease release.)
-  struct ShardHeapSlot {
-    CacheAligned<std::vector<TopKHeap>> padded;
-  };
-  std::vector<ShardHeapSlot> heaps(num_shards);
-  for (auto& slot : heaps) {
-    slot.padded.value.assign(num_queries, TopKHeap(k));
-  }
-  auto scan_shard = [&](size_t shard) {
+  // Each shard scans a disjoint row range into its own task-local heaps;
+  // ScatterTopK merges them.
+  auto scan_shard =
+      [&](size_t shard) -> std::vector<std::vector<SearchResult>> {
     const size_t begin = shard * rows_per_shard;
     const size_t end = std::min(begin + rows_per_shard, n);
-    std::vector<TopKHeap>& shard_heaps = heaps[shard].padded.value;
+    std::vector<TopKHeap> heaps(num_queries, TopKHeap(k));
     // Shard-lifetime scratch: leased per shard *task*, so each worker bumps
     // its own arena (allocations are line-aligned — no cross-shard false
     // sharing on the threshold arrays) and a warm pool serves the whole
@@ -178,6 +143,8 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     ScratchPool::Lease shard_scratch = GlobalScanScratch().Acquire();
     std::span<float> scores =
         shard_scratch->Alloc<float>(kRowBlock * num_queries);
+    std::span<SeenSet::Run> runs =
+        shard_scratch->Alloc<SeenSet::Run>(kRunChunk);
     // Per-query admission thresholds mirrored out of the heaps into flat
     // arrays, so the overwhelmingly common reject is one compare instead of
     // a heap-front pointer chase inside the innermost loop.
@@ -187,7 +154,7 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
               -std::numeric_limits<float>::infinity());
     std::fill(worst_id.begin(), worst_id.end(), 0u);
     auto admit = [&](size_t q, uint32_t id, float score) {
-      TopKHeap& heap = shard_heaps[q];
+      TopKHeap& heap = heaps[q];
       if (heap.Full()) {
         if (score < worst_score[q] ||
             (score == worst_score[q] && id > worst_id[q])) {
@@ -227,55 +194,23 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
       }
     };
     // Seen rows are skipped before scoring: blocks are maximal unseen runs,
-    // capped at kRowBlock rows. Each block is a cancellation checkpoint: a
-    // cancelled scan abandons the rest of this shard's rows (partial heaps;
-    // the caller discards them).
-    if (compact_scan) {
-      std::vector<std::pair<uint32_t, uint32_t>> runs;
-      seen.AppendUnseenRuns(static_cast<uint32_t>(begin),
-                            static_cast<uint32_t>(end), kRowBlock, &runs);
-      for (const auto& [run_begin, run_end] : runs) {
-        if (control.ShouldStop()) return;
-        score_run(run_begin, run_end);
+    // capped at kRowBlock rows, taken from the seen set a chunk at a time.
+    // Each block is a cancellation checkpoint: a cancelled scan abandons the
+    // rest of this shard's rows and contributes nothing.
+    uint32_t pos = static_cast<uint32_t>(begin);
+    while (const size_t got = seen.NextUnseenRuns(
+               &pos, static_cast<uint32_t>(end), kRowBlock, runs)) {
+      for (size_t i = 0; i < got; ++i) {
+        if (control.ShouldStop()) return {};
+        score_run(runs[i].begin, runs[i].end);
       }
-      return;
     }
-    // Run bounds come a seen-bitmap word at a time, not a row at a time:
-    // per-row tests cost single-query scans of tables larger than cache a
-    // few percent (one mispredicted branch at every run edge).
-    for (size_t r = FindRow(seen, begin, end, false); r < end;) {
-      if (control.ShouldStop()) return;
-      const size_t run_end =
-          FindRow(seen, r + 1, std::min(end, r + kRowBlock), true);
-      score_run(r, run_end);
-      r = FindRow(seen, run_end, end, false);
-    }
+    std::vector<std::vector<SearchResult>> hits(num_queries);
+    for (size_t q = 0; q < num_queries; ++q) hits[q] = heaps[q].Take();
+    return hits;
   };
-
-  if (num_shards == 1) {
-    scan_shard(0);
-  } else {
-    pool->ParallelFor(num_shards, [&](size_t begin, size_t end) {
-      for (size_t shard = begin; shard < end; ++shard) scan_shard(shard);
-    });
-  }
-
-  // Merge per-shard heaps: the global top-k under BetterResult is unique, so
-  // the result matches the single-shard scan exactly.
-  std::vector<std::vector<SearchResult>> out(num_queries);
-  for (size_t q = 0; q < num_queries; ++q) {
-    if (num_shards == 1) {
-      out[q] = heaps[0].padded.value[q].TakeSorted();
-      continue;
-    }
-    std::vector<SearchResult> merged;
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      const auto& items = heaps[shard].padded.value[q].items();
-      merged.insert(merged.end(), items.begin(), items.end());
-    }
-    out[q] = MergeTopK(std::move(merged), k);
-  }
-  return out;
+  return ScatterTopK(num_shards, num_queries, k, pool, /*part_nodes=*/{},
+                     scan_shard);
 }
 
 }  // namespace seesaw::store

@@ -1,5 +1,9 @@
 // ExactStore: brute-force max-inner-product scan. The accuracy reference for
 // AnnoyIndex and the default store at benchmark scale.
+//
+// The scan scores only the unseen runs SeenSet::NextUnseenRuns hands it,
+// and its row ranges (two per pool worker) go through ScatterTopK, the
+// same scatter/merge ShardedStore runs over its children.
 #ifndef SEESAW_STORE_EXACT_STORE_H_
 #define SEESAW_STORE_EXACT_STORE_H_
 
@@ -11,22 +15,13 @@
 
 namespace seesaw::store {
 
-/// Build/scan knobs for ExactStore.
+/// Build options for ExactStore.
 struct ExactStoreOptions {
   /// Scan representation. kInt8 builds a quantized copy of the table at
   /// Create (the fp32 master is retained — GetVector()/vectors() always
   /// serve full precision) and scores every lookup through the int8
   /// kernel family. See ScanPrecision for the cross-family contract.
   ScanPrecision precision = ScanPrecision::kFloat32;
-
-  /// Scans switch from finding unseen runs as they go to the run-length
-  /// compacted unseen enumeration (SeenSet::AppendUnseenRuns) once
-  /// seen.count() >= compact_seen_fraction * rows. Both enumerations score
-  /// the same blocks in the same order, so results are bitwise identical —
-  /// this is purely a scan-policy knob (both walk the seen bitmap a word at
-  /// a time; the compacted walk lists every run before scoring). Values >
-  /// 1.0 disable compaction; 0.0 always compacts.
-  double compact_seen_fraction = 0.5;
 };
 
 /// Exact top-k scan over a dense row-major table.
@@ -43,11 +38,11 @@ class ExactStore : public VectorStore {
   size_t size() const override { return vectors_.rows(); }
   size_t dim() const override { return vectors_.cols(); }
 
-  /// Batched exact scan: each cache-resident row block is scored against
-  /// every query at once (linalg::MatrixF::ScoreBlock), and with a pool the
-  /// table is sharded across workers with per-shard heaps merged at the end.
-  /// Cancellation is checkpointed per row block, so a cancelled call stops
-  /// the scan mid-flight rather than finishing the table.
+  /// Batched exact scan: each unseen run of at most 32 rows is scored
+  /// against every query at once (the fp32 or int8 score_block kernel), and
+  /// with a pool the row ranges run as ScatterTopK parts. Cancellation is
+  /// checkpointed per scored run, so a cancelled call stops the scan
+  /// mid-flight rather than finishing the table.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;

@@ -69,49 +69,40 @@ SeenSet SeenSet::Slice(uint32_t begin, uint32_t end) const {
   return out;
 }
 
-void SeenSet::AppendUnseenRuns(
-    uint32_t begin, uint32_t end, uint32_t max_run,
-    std::vector<std::pair<uint32_t, uint32_t>>* runs) const {
+size_t SeenSet::NextUnseenRuns(uint32_t* pos, uint32_t end, uint32_t max_run,
+                               std::span<Run> out) const {
   SEESAW_CHECK_GT(max_run, uint32_t{0});
-  // First unseen id in [from, end), or end. Bits past capacity are stored
-  // zero, so the inverted word reads them as unseen — same as Test().
-  auto next_unseen = [&](uint32_t from) -> uint32_t {
-    while (from < end) {
-      if (from >= capacity_) return from;
-      const uint64_t inv = ~words_[from >> 6] >> (from & 63);
-      if (inv != 0) {
-        const uint64_t hit =
-            static_cast<uint64_t>(from) + std::countr_zero(inv);
-        return hit < end ? static_cast<uint32_t>(hit) : end;
-      }
-      from = (from | 63) == UINT32_MAX ? end : (from | 63) + 1;
-    }
-    return end;
-  };
-  // First seen id in [from, limit), or limit.
-  auto next_seen = [&](uint32_t from, uint32_t limit) -> uint32_t {
+  // First id in [from, limit) whose seen bit equals `want_seen`, or limit.
+  // Bits past capacity are stored zero and read as unseen — same as Test().
+  auto next = [&](uint32_t from, uint32_t limit, bool want_seen) {
+    const uint64_t flip = want_seen ? 0 : ~uint64_t{0};
     while (from < limit) {
-      if (from >= capacity_) return limit;
-      const uint64_t w = words_[from >> 6] >> (from & 63);
-      if (w != 0) {
-        const uint64_t hit = static_cast<uint64_t>(from) + std::countr_zero(w);
+      if (from >= capacity_) return want_seen ? limit : from;
+      const uint64_t bits = (words_[from >> 6] ^ flip) >> (from & 63);
+      if (bits != 0) {
+        const uint64_t hit =
+            static_cast<uint64_t>(from) + std::countr_zero(bits);
         return hit < limit ? static_cast<uint32_t>(hit) : limit;
       }
       from = (from | 63) == UINT32_MAX ? limit : (from | 63) + 1;
     }
     return limit;
   };
-  uint32_t pos = begin;
-  while (pos < end) {
-    const uint32_t start = next_unseen(pos);
-    if (start >= end) return;
+  size_t filled = 0;
+  uint32_t p = *pos;
+  while (filled < out.size()) {
+    const uint32_t start = next(p, end, /*want_seen=*/false);
+    if (start >= end) {
+      p = end;
+      break;
+    }
     const uint32_t cap =
-        start + static_cast<uint32_t>(
-                    std::min<uint64_t>(max_run, end - start));
-    const uint32_t stop = next_seen(start + 1, cap);
-    runs->emplace_back(start, stop);
-    pos = stop;
+        start + static_cast<uint32_t>(std::min<uint64_t>(max_run, end - start));
+    p = next(start + 1, cap, /*want_seen=*/true);
+    out[filled++] = Run{start, p};
   }
+  *pos = p;
+  return filled;
 }
 
 void SeenSet::Clear() {

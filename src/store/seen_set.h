@@ -3,15 +3,17 @@
 //
 // The paper's interactive loop (§2.2) never re-shows a patch the user has
 // already inspected, so every TopK scan must skip the seen set. A bitset
-// keeps that test to one AND inside the innermost loop — branch-predictable
-// and allocation-free — where the previous std::function callback cost an
-// indirect call per stored vector.
+// makes the skip cheap at any density: the exact scan never tests rows one
+// by one but takes the unseen runs a bitmap word at a time
+// (NextUnseenRuns), so a mostly-seen table costs a walk over its words
+// plus the few unseen rows, and other backends test single ids with one
+// AND (Test).
 #ifndef SEESAW_STORE_SEEN_SET_H_
 #define SEESAW_STORE_SEEN_SET_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 namespace seesaw::store {
@@ -50,20 +52,21 @@ class SeenSet {
   /// global seen set; word-shift copy, O((end-begin)/64).
   SeenSet Slice(uint32_t begin, uint32_t end) const;
 
-  /// Appends the maximal runs of consecutive unseen ids in [begin, end) to
-  /// `runs` as half-open (first, last+1) intervals, each chopped into pieces
-  /// of at most `max_run` ids (a maximal run longer than max_run becomes
-  /// back-to-back intervals). Ids at or past capacity are unseen, matching
-  /// Test(). Word-at-a-time scan, O((end-begin)/64 + runs).
-  ///
-  /// This is the run-length-compacted form of the unseen set: when most ids
-  /// are seen, the batched exact scan iterates these few intervals instead
-  /// of testing every row. The interval boundaries are *exactly* the score
-  /// blocks the per-row skip-test loop produces (same maximal runs, same
-  /// max_run chopping), so a scan driven by either enumeration scores the
-  /// same blocks in the same order — bitwise-identical results.
-  void AppendUnseenRuns(uint32_t begin, uint32_t end, uint32_t max_run,
-                        std::vector<std::pair<uint32_t, uint32_t>>* runs) const;
+  /// A half-open interval [begin, end) of consecutive unseen ids.
+  struct Run {
+    uint32_t begin;
+    uint32_t end;
+  };
+
+  /// The one seen-run walk of the store scan, a chunk at a time: writes up
+  /// to out.size() maximal runs of consecutive unseen ids in [*pos, end)
+  /// to `out`, each chopped into pieces of at most `max_run` ids, advances
+  /// *pos past the last run written and returns how many were written (0
+  /// when none are left). Resuming from *pos yields exactly the runs one
+  /// large-enough call would. Ids at or past capacity are unseen, matching
+  /// Test(). Walks the bitmap a word at a time.
+  size_t NextUnseenRuns(uint32_t* pos, uint32_t end, uint32_t max_run,
+                        std::span<Run> out) const;
 
   /// The backing bit words, least-significant bit of words()[0] is id 0;
   /// exactly ceil(capacity/64) entries with every bit past capacity zero.

@@ -35,14 +35,12 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
   }
   const size_t n = vectors.rows();
   const size_t d = vectors.cols();
-  // Near-equal contiguous ranges; clamping keeps every shard non-empty and
-  // at least min_rows_per_shard rows wide (small tables automatically fall
-  // back to fewer shards — see ShardedOptions).
+  // Near-equal contiguous ranges (PartitionRange); clamping keeps every
+  // shard non-empty and at least min_rows_per_shard rows wide (small tables
+  // automatically fall back to fewer shards — see ShardedOptions).
   const size_t floor_rows = std::max<size_t>(1, options.min_rows_per_shard);
   const size_t max_shards = std::max<size_t>(1, n / floor_rows);
   const size_t num_shards = std::min({options.num_shards, n, max_shards});
-  const size_t base = n / num_shards;
-  const size_t extra = n % num_shards;
 
   // Placement engages only where it can matter; everywhere else the store
   // is constructed exactly as before (numa_placed() false, nodes all 0) —
@@ -51,16 +49,12 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
   const bool place = options.numa_placement && numa::Available();
 
   std::vector<std::unique_ptr<VectorStore>> shards;
-  std::vector<uint32_t> begin(num_shards + 1, 0);
   std::vector<size_t> shard_nodes(num_shards, 0);
-  size_t row = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    const size_t rows = base + (s < extra ? 1 : 0);
+    const auto [first, rows] = PartitionRange(n, num_shards, s);
     linalg::MatrixF part(rows, d);
-    for (size_t r = 0; r < rows; ++r) {
-      auto src = vectors.Row(row + r);
-      std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
-    }
+    std::copy_n(vectors.Row(first).data(), rows * d,
+                part.mutable_data().data());
     const size_t node = place ? numa::NodeForShard(s) : 0;
     shard_nodes[s] = node;
     if (place) {
@@ -89,11 +83,12 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
       }
     }
     shards.push_back(std::move(child));
-    row += rows;
-    begin[s + 1] = static_cast<uint32_t>(row);
   }
-  return ShardedStore(std::move(shards), std::move(begin), d,
-                      std::move(shard_nodes), place);
+  SEESAW_ASSIGN_OR_RETURN(ShardedStore store,
+                          CreateFromChildren(std::move(shards)));
+  store.shard_nodes_ = std::move(shard_nodes);
+  store.numa_placed_ = place;
+  return store;
 }
 
 std::pair<size_t, size_t> ShardedStore::PartitionRange(size_t n,
@@ -115,6 +110,7 @@ StatusOr<ShardedStore> ShardedStore::CreateFromChildren(
   }
   const size_t d = children[0]->dim();
   std::vector<uint32_t> begin(children.size() + 1, 0);
+  uint64_t total = 0;
   for (size_t s = 0; s < children.size(); ++s) {
     if (children[s] == nullptr || children[s]->size() == 0) {
       return Status::InvalidArgument("ShardedStore: empty child store");
@@ -123,40 +119,16 @@ StatusOr<ShardedStore> ShardedStore::CreateFromChildren(
       return Status::InvalidArgument(
           "ShardedStore: children disagree on dimensionality");
     }
-    begin[s + 1] =
-        begin[s] + static_cast<uint32_t>(children[s]->size());
-  }
-  std::vector<size_t> shard_nodes(children.size(), 0);
-  return ShardedStore(std::move(children), std::move(begin), d,
-                      std::move(shard_nodes), /*numa_placed=*/false);
-}
-
-void ShardedStore::DispatchShards(
-    ThreadPool* pool, const std::function<void(size_t)>& scan_shard) const {
-  const size_t num_shards = shards_.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) scan_shard(s);
-    return;
-  }
-  if (numa_placed_ && pool->numa_affinity()) {
-    // One hinted task per shard, so shard s runs (preferentially) on a
-    // worker pinned to the node holding shard s's pages. Waiting handle by
-    // handle keeps the ParallelFor contract: this thread helps drain the
-    // queue while it waits, so nested fan-out cannot deadlock, and all
-    // shards are complete when we return.
-    std::vector<TaskHandle> handles;
-    handles.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      handles.push_back(
-          pool->SubmitWithResult([&scan_shard, s] { scan_shard(s); },
-                                 shard_nodes_[s]));
+    // Global ids are u32 (SearchResult::id, the wire): a table past that
+    // would wrap ids and merge hits from one shard under another's rows.
+    total += children[s]->size();
+    if (total > UINT32_MAX) {
+      return Status::InvalidArgument(
+          "ShardedStore: children hold more than 2^32-1 rows in total");
     }
-    for (TaskHandle& handle : handles) handle.Wait();
-    return;
+    begin[s + 1] = static_cast<uint32_t>(total);
   }
-  pool->ParallelFor(num_shards, [&](size_t b, size_t e) {
-    for (size_t s = b; s < e; ++s) scan_shard(s);
-  });
+  return ShardedStore(std::move(children), std::move(begin), d);
 }
 
 std::pair<size_t, uint32_t> ShardedStore::Locate(uint32_t global_id) const {
@@ -181,38 +153,25 @@ std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
   for (linalg::VecSpan q : queries) SEESAW_CHECK_EQ(q.size(), dim_);
   if (k == 0) return std::vector<std::vector<SearchResult>>(num_queries);
 
-  const size_t num_shards = shards_.size();
-  // per_shard[s][q]: local hits remapped to global ids. A shard skipped by
-  // cancellation leaves its slot empty (size() != num_queries). Merge state
-  // is per-call and lock-free by partitioning: worker s writes only slot s
-  // (disjoint slots of a pre-sized vector), and the merge reads them only
-  // after the dispatch latch — whose completion is mutex-published — so
-  // there is no concurrent access to annotate.
-  std::vector<std::vector<std::vector<SearchResult>>> per_shard(num_shards);
-  auto scan_shard = [&](size_t s) {
-    // Checkpoint before the dispatch so shards not yet started are skipped
-    // outright once the token trips; the child checkpoints per block/list.
-    if (control.ShouldStop()) return;
-    SeenSet local = seen.Slice(begin_[s], begin_[s + 1]);
-    per_shard[s] = shards_[s]->TopKBatch(queries, k, local, pool, control);
-    const uint32_t offset = begin_[s];
-    for (auto& hits : per_shard[s]) {
-      for (SearchResult& hit : hits) hit.id += offset;
-    }
-  };
-  DispatchShards(pool, scan_shard);
-
-  std::vector<std::vector<SearchResult>> out(num_queries);
-  for (size_t q = 0; q < num_queries; ++q) {
-    std::vector<SearchResult> merged;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (per_shard[s].size() != num_queries) continue;  // cancelled shard
-      const auto& hits = per_shard[s][q];
-      merged.insert(merged.end(), hits.begin(), hits.end());
-    }
-    out[q] = MergeTopK(std::move(merged), k);
-  }
-  return out;
+  // Placed shards hint each scan at a worker on the node holding the
+  // shard's pages; unplaced ones take the plain ParallelFor dispatch.
+  std::span<const size_t> nodes;
+  if (numa_placed_) nodes = shard_nodes_;
+  return ScatterTopK(
+      shards_.size(), num_queries, k, pool, nodes,
+      [&](size_t s) -> std::vector<std::vector<SearchResult>> {
+        // Checkpoint before the child scan so shards not yet started are
+        // skipped outright once the token trips; the child checkpoints per
+        // block/list.
+        if (control.ShouldStop()) return {};
+        SeenSet local = seen.Slice(begin_[s], begin_[s + 1]);
+        std::vector<std::vector<SearchResult>> hits =
+            shards_[s]->TopKBatch(queries, k, local, pool, control);
+        for (auto& list : hits) {
+          for (SearchResult& hit : list) hit.id += begin_[s];
+        }
+        return hits;
+      });
 }
 
 }  // namespace seesaw::store

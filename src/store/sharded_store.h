@@ -1,13 +1,11 @@
 // ShardedStore: partitions the vector table itself across N child
 // VectorStores and serves TopKBatch by scatter-gather over the shards.
 //
-// This is the seam ROADMAP's "lift ExactStore's internal scan shards into
-// separate stores" item asks for: where ExactStore::TopKBatch splits one
-// table's rows across pool workers, ShardedStore splits the *table* into N
-// row-range partitions, each backed by its own child store. Future work pins
-// children to NUMA nodes or remote machines without touching callers; today
-// every child is an in-process ExactStore (or anything a ChildFactory
-// builds).
+// The store is only about placement and children: which rows each child
+// owns, which NUMA node holds them, and how a global id maps to a child.
+// Children are ExactStores, anything a ChildFactory builds, or
+// RemoteStores (CreateFromChildren); the fan-out and merge are ScatterTopK
+// (store/vector_store.h).
 //
 // Correctness contract: results are bitwise identical to a single ExactStore
 // over the whole table, for every shard count. Three properties make that
@@ -107,20 +105,21 @@ class ShardedStore : public VectorStore {
   /// RemoteStores connected to shard servers). Children are taken in shard
   /// order: child c serves global rows [sum(sizes 0..c-1), +size(c)), so
   /// callers must list them in the same order PartitionRange numbers
-  /// shards. All children must share a dimensionality and be non-empty.
-  /// No NUMA placement (children own their memory).
+  /// shards. All children must share a dimensionality and be non-empty,
+  /// and together hold at most 2^32-1 rows (ids are u32); otherwise
+  /// InvalidArgument. No NUMA placement (children own their memory).
   static StatusOr<ShardedStore> CreateFromChildren(
       std::vector<std::unique_ptr<VectorStore>> children);
 
   size_t size() const override { return begin_.back(); }
   size_t dim() const override { return dim_; }
 
-  /// Batched lookup: fans the shards out on `pool` (serially when null; each
-  /// child may shard its own scan on the same pool — nested ParallelFor is
-  /// safe), slicing the global seen set per shard and merging per-shard
-  /// results with MergeTopK. Exactly equal to a single ExactStore's
-  /// TopKBatch. `control` is propagated to every child and checkpointed per
-  /// shard.
+  /// Batched lookup: one ScatterTopK part per shard (serially without a
+  /// usable pool; each child may shard its own scan on the same pool —
+  /// nested fan-out is safe), slicing the global seen set per shard and
+  /// offsetting each child's hits to global ids. Exactly equal to a single
+  /// ExactStore's TopKBatch. `control` is propagated to every child and
+  /// checkpointed per shard.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
@@ -149,21 +148,11 @@ class ShardedStore : public VectorStore {
 
  private:
   ShardedStore(std::vector<std::unique_ptr<VectorStore>> shards,
-               std::vector<uint32_t> begin, size_t dim,
-               std::vector<size_t> shard_nodes, bool numa_placed)
+               std::vector<uint32_t> begin, size_t dim)
       : shards_(std::move(shards)),
         begin_(std::move(begin)),
         dim_(dim),
-        shard_nodes_(std::move(shard_nodes)),
-        numa_placed_(numa_placed) {}
-
-  /// Runs `scan_shard` over every shard: serially without a usable pool,
-  /// via ParallelFor on an unplaced pool, and as per-shard node-hinted
-  /// tasks when both this store and the pool are NUMA-aware. All three
-  /// dispatches run the same shard bodies to completion before returning,
-  /// so they are interchangeable for results.
-  void DispatchShards(ThreadPool* pool,
-                      const std::function<void(size_t)>& scan_shard) const;
+        shard_nodes_(shards_.size(), 0) {}
 
   std::vector<std::unique_ptr<VectorStore>> shards_;
   std::vector<uint32_t> begin_;  // size num_shards()+1, begin_[0] == 0

@@ -1,8 +1,67 @@
 #include "store/vector_store.h"
 
+#include <algorithm>
 #include <unordered_set>
 
+#include "common/thread_pool.h"
+
 namespace seesaw::store {
+
+namespace {
+
+/// Keeps the best k of `merged` under BetterResult, best first.
+std::vector<SearchResult> MergeTopK(std::vector<SearchResult> merged,
+                                    size_t k) {
+  if (merged.size() <= k) {
+    std::sort(merged.begin(), merged.end(), BetterResult);
+    return merged;
+  }
+  std::partial_sort(merged.begin(), merged.begin() + k, merged.end(),
+                    BetterResult);
+  merged.resize(k);
+  return merged;
+}
+
+}  // namespace
+
+std::vector<std::vector<SearchResult>> ScatterTopK(
+    size_t num_parts, size_t num_queries, size_t k, ThreadPool* pool,
+    std::span<const size_t> part_nodes, const PartScan& scan_part) {
+  // parts[p] is written only by part p's task, and read after all finish.
+  std::vector<std::vector<std::vector<SearchResult>>> parts(num_parts);
+  auto run = [&](size_t p) { parts[p] = scan_part(p); };
+  if (num_parts == 1 || pool == nullptr || pool->num_threads() <= 1) {
+    for (size_t p = 0; p < num_parts; ++p) run(p);
+  } else if (!part_nodes.empty() && pool->numa_affinity()) {
+    // Waiting helps drain the queue, so nested fan-out cannot deadlock.
+    std::vector<TaskHandle> handles;
+    handles.reserve(num_parts);
+    for (size_t p = 0; p < num_parts; ++p) {
+      handles.push_back(pool->SubmitWithResult([&run, p] { run(p); },
+                                               part_nodes[p]));
+    }
+    for (TaskHandle& handle : handles) handle.Wait();
+  } else {
+    pool->ParallelFor(num_parts, [&](size_t begin, size_t end) {
+      for (size_t p = begin; p < end; ++p) run(p);
+    });
+  }
+
+  std::vector<std::vector<SearchResult>> out(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) {
+    std::vector<SearchResult> merged;
+    for (auto& part : parts) {
+      if (part.size() != num_queries) continue;  // stopped early or failed
+      if (merged.empty()) {
+        merged = std::move(part[q]);
+      } else {
+        merged.insert(merged.end(), part[q].begin(), part[q].end());
+      }
+    }
+    out[q] = MergeTopK(std::move(merged), k);
+  }
+  return out;
+}
 
 double RecallAgainst(const std::vector<SearchResult>& got,
                      const std::vector<SearchResult>& truth) {

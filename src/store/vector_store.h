@@ -11,7 +11,8 @@
 // shard the work across a ThreadPool and return the same results however
 // they are sharded: all backends select with the same total order (score
 // descending, id ascending on ties), so the top-k of any candidate set is
-// unique.
+// unique, and every fan-out over row ranges or child stores merges through
+// the one ScatterTopK below.
 #ifndef SEESAW_STORE_VECTOR_STORE_H_
 #define SEESAW_STORE_VECTOR_STORE_H_
 
@@ -166,8 +167,9 @@ class TopKHeap {
     }
   }
 
-  /// Kept hits in unspecified order (e.g. for cross-shard merging).
-  const std::vector<SearchResult>& items() const { return heap_; }
+  /// Extracts the kept hits in unspecified order (for ScatterTopK, whose
+  /// merge sorts them); the heap is left empty.
+  std::vector<SearchResult> Take() { return std::move(heap_); }
 
   /// Whether k hits are held (a candidate must now beat Worst() to enter).
   bool Full() const { return heap_.size() >= k_; }
@@ -187,18 +189,24 @@ class TopKHeap {
   std::vector<SearchResult> heap_;
 };
 
-/// Concatenates per-shard hits (ids already global) and keeps the best k
-/// under BetterResult. Because the global top-k is unique, re-selecting from
-/// the union of exact per-shard top-ks reproduces the single-scan result
-/// exactly — the one cross-shard merge every scatter/gather scan uses.
-inline std::vector<SearchResult> MergeTopK(std::vector<SearchResult> merged,
-                                           size_t k) {
-  const size_t keep = std::min(k, merged.size());
-  std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                    BetterResult);
-  merged.resize(keep);
-  return merged;
-}
+/// One part's scan for ScatterTopK: per-query hits with global ids (at
+/// most k, any order), or an empty outer vector if the part stopped early
+/// or failed.
+using PartScan =
+    std::function<std::vector<std::vector<SearchResult>>(size_t part)>;
+
+/// The one scatter/merge of the store layer (ExactStore's row ranges,
+/// ShardedStore's children): runs every part, then keeps the best k hits
+/// per query under BetterResult. Parts run inline with one part or no
+/// usable pool, as node-hinted tasks (part p on node part_nodes[p]) when
+/// part_nodes is non-empty and the pool has numa_affinity, and through
+/// ParallelFor otherwise. The global top-k is unique, so merging exact
+/// per-part top-ks reproduces a single scan bit for bit. A part whose
+/// outer vector is not num_queries long contributes nothing. Always returns
+/// num_queries lists, best first.
+std::vector<std::vector<SearchResult>> ScatterTopK(
+    size_t num_parts, size_t num_queries, size_t k, ThreadPool* pool,
+    std::span<const size_t> part_nodes, const PartScan& scan_part);
 
 /// Interface for max-inner-product stores.
 ///

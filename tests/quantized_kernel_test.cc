@@ -10,13 +10,12 @@
 //      CLIP-like tables (test_util::ClusteredTable), plus a per-element
 //      quantize -> dequantize round-trip error bound.
 //
-// The compacted unseen-run scan policy (ExactStoreOptions::
-// compact_seen_fraction) is proven bitwise identical to the per-row
-// skip-test scan here too, including cancellation checkpoint counts.
+// The exact scan's seen-run walk is pinned against the brute-force oracle
+// here too, for both precisions, serial and pooled, across seen densities
+// and seen sets shorter than the table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -39,7 +38,6 @@ namespace {
 
 using store::ExactStore;
 using store::ExactStoreOptions;
-using store::ScanControl;
 using store::ScanPrecision;
 using store::SeenSet;
 using store::ShardedOptions;
@@ -365,80 +363,50 @@ TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
   }
 }
 
-TEST_F(QuantizedKernelTest, BatchedInt8ScanMatchesBruteForce) {
-  // Within the int8 family, the blocked batch scan and the per-pair oracle
-  // compute the same fixed-order arithmetic — bitwise equal results.
-  const size_t n = 311, dim = 32;
-  MatrixF table = ClusteredTable(n, dim, 8, 67);
-  ExactStoreOptions options;
-  options.precision = ScanPrecision::kInt8;
-  auto store = ExactStore::Create(table, options);
-  ASSERT_TRUE(store.ok());
-  auto queries = RandomQueries(4, dim, 68);
-  auto spans = AsSpans(queries);
-  for (double fraction : {0.0, 0.4, 0.9}) {
-    SeenSet seen = RandomSeenSet(n, fraction, 69);
-    auto batched =
-        store->TopKBatch(std::span<const VecSpan>(spans), 25, seen);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectIdenticalResults(
-          batched[qi],
-          BruteForceTopK(table, queries[qi], 25, seen, ScanPrecision::kInt8));
-    }
-  }
-}
-
-TEST_F(QuantizedKernelTest, CompactedScanPolicyIsBitwiseIdentical) {
-  // The seen-aware scan policy: enumerating run-length compacted unseen
-  // intervals must reproduce the per-row skip-test scan exactly — same
-  // results bit for bit, same number of cancellation checkpoints — for both
-  // precisions, serial and pooled, across seen densities.
-  const size_t n = 700, dim = 24;
-  MatrixF table = RandomTable(n, dim, 71);
+TEST_F(QuantizedKernelTest, SeenRunScanMatchesBruteForce) {
+  // The scan scores only the unseen runs the seen set hands it, a chunk at
+  // a time. Whatever the seen density, and for seen sets that end before
+  // the table does (rows past capacity are unseen), the result must be the
+  // brute-force top-k bit for bit — serial and pooled, both precisions
+  // (within the int8 family the scan and the oracle compute the same
+  // fixed-order arithmetic), on clustered rows with near-tied scores.
+  const size_t dim = 24;
   auto queries = RandomQueries(3, dim, 72);
   auto spans = AsSpans(queries);
   ThreadPool pool(3);
-  for (ScanPrecision precision :
-       {ScanPrecision::kFloat32, ScanPrecision::kInt8}) {
-    ExactStoreOptions always, never;
-    always.precision = precision;
-    always.compact_seen_fraction = 0.0;  // every scan compacts
-    never.precision = precision;
-    never.compact_seen_fraction = 2.0;  // no scan compacts
-    auto compact_store = ExactStore::Create(table, always);
-    auto skip_store = ExactStore::Create(table, never);
-    ASSERT_TRUE(compact_store.ok());
-    ASSERT_TRUE(skip_store.ok());
-    for (double fraction : {0.0, 0.3, 0.7, 0.97, 1.0}) {
-      SeenSet seen = RandomSeenSet(n, fraction, 73);
-      std::atomic<size_t> compact_checkpoints{0}, skip_checkpoints{0};
-      ScanControl compact_control, skip_control;
-      compact_control.checkpoint = [&] { ++compact_checkpoints; };
-      skip_control.checkpoint = [&] { ++skip_checkpoints; };
-      auto want = skip_store->TopKBatch(std::span<const VecSpan>(spans), 19,
-                                        seen, /*pool=*/nullptr, skip_control);
-      auto got =
-          compact_store->TopKBatch(std::span<const VecSpan>(spans), 19, seen,
-                                   /*pool=*/nullptr, compact_control);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t qi = 0; qi < want.size(); ++qi) {
-        ExpectIdenticalResults(got[qi], want[qi]);
-      }
-      EXPECT_EQ(compact_checkpoints.load(), skip_checkpoints.load())
-          << "fraction=" << fraction;
-      // Pooled runs shard the row range but must still match.
-      auto pooled = compact_store->TopKBatch(std::span<const VecSpan>(spans),
-                                             19, seen, &pool);
-      for (size_t qi = 0; qi < want.size(); ++qi) {
-        ExpectIdenticalResults(pooled[qi], want[qi]);
+  for (size_t capacity : {0u, 1u, 63u, 64u, 65u, 200u, 1000u}) {
+    const size_t n = capacity + 70;
+    MatrixF table = ClusteredTable(n, dim, 8, 71);
+    for (ScanPrecision precision :
+         {ScanPrecision::kFloat32, ScanPrecision::kInt8}) {
+      ExactStoreOptions options;
+      options.precision = precision;
+      auto store = ExactStore::Create(table, options);
+      ASSERT_TRUE(store.ok());
+      for (double fraction : {0.0, 0.3, 0.7, 0.97, 1.0}) {
+        SeenSet seen = RandomSeenSet(capacity, fraction, 73);
+        for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr),
+                                      &pool}) {
+          auto got = store->TopKBatch(std::span<const VecSpan>(spans), 19,
+                                      seen, scan_pool);
+          ASSERT_EQ(got.size(), queries.size());
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity=" << capacity << " fraction="
+                         << fraction << " pooled=" << (scan_pool != nullptr));
+            ExpectIdenticalResults(
+                got[qi],
+                BruteForceTopK(table, queries[qi], 19, seen, precision));
+          }
+        }
       }
     }
   }
 }
 
 TEST_F(QuantizedKernelTest, Fp32PathIsUnchangedByDefaultOptions) {
-  // Options default to fp32 + the 0.5 compaction threshold; a default
-  // store must return exactly what the historical fp32 scan returned.
+  // Options default to fp32; a default store must return exactly what the
+  // brute-force fp32 oracle returns, with most rows seen.
   const size_t n = 257, dim = 16;
   MatrixF table = RandomTable(n, dim, 79);
   auto store = ExactStore::Create(table);
@@ -446,7 +414,7 @@ TEST_F(QuantizedKernelTest, Fp32PathIsUnchangedByDefaultOptions) {
   EXPECT_EQ(store->options().precision, ScanPrecision::kFloat32);
   EXPECT_TRUE(store->quantized().empty());
   auto queries = RandomQueries(2, dim, 80);
-  SeenSet seen = RandomSeenSet(n, 0.8, 81);  // above threshold: compacts
+  SeenSet seen = RandomSeenSet(n, 0.8, 81);
   for (const VectorF& q : queries) {
     ExpectIdenticalResults(store->TopK(q, 11, seen),
                            BruteForceTopK(table, q, 11, seen));

@@ -5,9 +5,9 @@
 // expiry (never retried), shard death mid-scan surfacing as a typed
 // collector error, stale-duplicate replies skipped, backoff monotonicity
 // with the jitter envelope, cancellation that abandons an in-flight socket
-// wait, the store service's k clamp, and the retired frame type 8. Fault
-// tests run on a virtual clock (tests/fault_socket.h): no sleeps, no
-// wall-clock races.
+// wait, forged peer replies and shapes, the store service's k clamp, and
+// the retired frame type 8. Fault tests run on a virtual clock
+// (tests/fault_socket.h): no sleeps, no wall-clock races.
 #include "net/remote_store.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +15,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <semaphore>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -472,6 +474,105 @@ TEST(RemoteStoreFaults, CreateFailsTypedOnDeadPeer) {
   EXPECT_EQ(remote.status().code(), StatusCode::kIoError);
   EXPECT_NE(remote.status().message().find("retries exhausted"),
             std::string::npos);
+}
+
+// A peer that forges its hits is caught before the merge. Shard 0 of two
+// (rows [0, 50)) answers through a real StoreFrameService, then rewrites
+// the reply: a hit id of 50, which after the shard offset names a row of
+// shard 1 and would merge silently, or a list longer than the k asked for.
+// Both are the "reply malformed" IoError, on the collector and on
+// last_status().
+TEST(RemoteStoreFaults, ForgedHitsAreRejectedAsMalformed) {
+  linalg::MatrixF table = test_util::RandomTable(100, 8, /*seed=*/54);
+  auto queries = test_util::RandomQueries(2, 8, /*seed=*/55);
+  auto spans = test_util::AsSpans(queries);
+  using Forge = std::function<void(net::StoreTopKBatchReply*)>;
+  for (const Forge& forge : std::vector<Forge>{
+           [](net::StoreTopKBatchReply* r) { r->results[1][0].id = 50; },
+           [](net::StoreTopKBatchReply* r) {
+             r->results[0].push_back(r->results[0].back());
+           }}) {
+    auto shard0 = MakeExact(ShardRows(table, 2, 0), ScanPrecision::kFloat32);
+    auto shard1 = MakeExact(ShardRows(table, 2, 1), ScanPrecision::kFloat32);
+    net::StoreFrameService service(*shard0, /*pool=*/nullptr);
+    auto forging = std::make_unique<FaultTransport>(
+        [&](const net::FrameHeader& header, std::string_view payload) {
+          std::string frame = service.HandleFrame(header, payload);
+          if (header.type != net::FrameType::kStoreTopKBatch) return frame;
+          net::StoreTopKBatchReply reply;
+          SEESAW_CHECK(net::DecodeStoreTopKBatchReply(
+              std::string_view(frame).substr(net::kHeaderBytes), &reply));
+          forge(&reply);
+          return net::EncodeFrame(net::FrameType::kStoreTopKBatchReply,
+                                  header.request_id,
+                                  net::EncodeStoreTopKBatchReply(reply));
+        },
+        std::vector<FaultStep>{});
+    std::vector<std::unique_ptr<VectorStore>> children;
+    children.push_back(*RemoteStore::Create(std::move(forging), FastOptions()));
+    children.push_back(
+        *RemoteStore::Create(StorePeer(*shard1, {}), FastOptions()));
+    auto sharded = ShardedStore::CreateFromChildren(std::move(children));
+    ASSERT_TRUE(sharded.ok());
+
+    ScanErrorCollector errors;
+    ScanControl control;
+    control.errors = &errors;
+    sharded->TopKBatch(std::span<const linalg::VecSpan>(spans), 5,
+                       store::EmptySeenSet(), nullptr, control);
+    EXPECT_EQ(errors.count(), 1u);
+    EXPECT_EQ(errors.first().code(), StatusCode::kIoError);
+    EXPECT_NE(errors.first().message().find("malformed"), std::string::npos);
+    const auto& forged = dynamic_cast<const RemoteStore&>(sharded->shard(0));
+    EXPECT_EQ(forged.last_status().code(), StatusCode::kIoError);
+  }
+}
+
+/// A peer that answers every frame with StoreInfo `info` and holds no rows:
+/// all RemoteStore::Create asks for.
+std::unique_ptr<FaultTransport> ShapeOnlyPeer(net::StoreInfoReply info) {
+  return std::make_unique<FaultTransport>(
+      [info](const net::FrameHeader& header, std::string_view) {
+        return net::EncodeFrame(net::FrameType::kStoreInfoReply,
+                                header.request_id,
+                                net::EncodeStoreInfoReply(info));
+      },
+      std::vector<FaultStep>{});
+}
+
+// The peer's shape comes off the wire unchecked: a peer claiming 2^40 rows
+// (GetVector would size its cache by it), more rows than u32 ids can name,
+// no rows, or dim 0 fails Create with a typed IoError.
+TEST(RemoteStoreFaults, CreateRejectsForgedStoreInfo) {
+  for (net::StoreInfoReply info :
+       {net::StoreInfoReply{uint64_t{1} << 40, 8},
+        net::StoreInfoReply{uint64_t{UINT32_MAX} + 1, 8},
+        net::StoreInfoReply{0, 8}, net::StoreInfoReply{40, 0}}) {
+    auto remote = RemoteStore::Create(ShapeOnlyPeer(info), FastOptions());
+    ASSERT_FALSE(remote.ok());
+    EXPECT_EQ(remote.status().code(), StatusCode::kIoError);
+    EXPECT_NE(remote.status().message().find("malformed"), std::string::npos);
+  }
+}
+
+// Global ids are u32: two peers of 2^31 + 1 rows each would wrap shard 1's
+// ids onto shard 0's, so CreateFromChildren refuses them. 2^32 - 1 rows in
+// total still fit.
+TEST(RemoteStoreFaults, ShardedRowsPastU32IdsAreRejected) {
+  auto create = [](uint64_t a, uint64_t b) {
+    std::vector<std::unique_ptr<VectorStore>> children;
+    for (uint64_t rows : {a, b}) {
+      children.push_back(
+          *RemoteStore::Create(ShapeOnlyPeer({rows, 4}), FastOptions()));
+    }
+    return ShardedStore::CreateFromChildren(std::move(children));
+  };
+  const uint64_t half = uint64_t{1} << 31;
+  EXPECT_EQ(create(half + 1, half + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  auto widest = create(half, half - 1);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->size(), size_t{UINT32_MAX});
 }
 
 // k arrives from outside the process: the service clamps it to the store

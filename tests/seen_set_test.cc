@@ -144,10 +144,11 @@ TEST(SeenSetTest, ExclusionHonoredByStoreScan) {
   EXPECT_EQ(store->TopK(q, 1, seen)[0].id, 11u);
 }
 
-TEST(SeenSetTest, AppendUnseenRunsMatchesPerIdEnumeration) {
-  // The run-length compacted enumeration must produce exactly the blocks a
-  // per-id skip-test loop produces: maximal unseen runs chopped at max_run.
-  Rng rng(17);
+TEST(SeenSetTest, NextUnseenRunsMatchesPerIdEnumeration) {
+  // The chunked enumeration must produce exactly the blocks a per-id
+  // skip-test loop produces — maximal unseen runs chopped at max_run — for
+  // every buffer size, so resuming from *pos across chunk boundaries
+  // neither drops, splits nor repeats a run.
   for (size_t capacity : {0u, 1u, 63u, 64u, 65u, 200u, 1000u}) {
     for (double fraction : {0.0, 0.1, 0.5, 0.9, 1.0}) {
       SeenSet seen = test_util::RandomSeenSet(capacity, fraction, 18);
@@ -158,9 +159,7 @@ TEST(SeenSetTest, AppendUnseenRunsMatchesPerIdEnumeration) {
         for (uint32_t begin :
              {uint32_t{0}, static_cast<uint32_t>(capacity / 3),
               static_cast<uint32_t>(capacity)}) {
-          std::vector<std::pair<uint32_t, uint32_t>> got;
-          seen.AppendUnseenRuns(begin, window_end, max_run, &got);
-          // Reference: the skip-test loop from the batched exact scan.
+          // Reference: the per-row skip-test loop.
           std::vector<std::pair<uint32_t, uint32_t>> want;
           uint32_t r = begin;
           while (r < window_end) {
@@ -176,19 +175,27 @@ TEST(SeenSetTest, AppendUnseenRunsMatchesPerIdEnumeration) {
             want.emplace_back(r, run_end);
             r = run_end;
           }
-          ASSERT_EQ(got, want) << "capacity=" << capacity
-                               << " fraction=" << fraction
-                               << " max_run=" << max_run << " begin=" << begin;
+          for (size_t buffer : {1u, 3u, 1024u}) {
+            std::vector<SeenSet::Run> chunk(buffer);
+            std::vector<std::pair<uint32_t, uint32_t>> got;
+            uint32_t pos = begin;
+            while (const size_t n =
+                       seen.NextUnseenRuns(&pos, window_end, max_run, chunk)) {
+              ASSERT_LE(n, buffer);
+              for (size_t i = 0; i < n; ++i) {
+                got.emplace_back(chunk[i].begin, chunk[i].end);
+              }
+            }
+            EXPECT_EQ(pos, window_end);
+            ASSERT_EQ(got, want)
+                << "capacity=" << capacity << " fraction=" << fraction
+                << " max_run=" << max_run << " begin=" << begin
+                << " buffer=" << buffer;
+          }
         }
       }
     }
   }
-  // Appends (does not clear) so shards can reuse one buffer.
-  SeenSet empty(8);
-  std::vector<std::pair<uint32_t, uint32_t>> runs = {{99, 100}};
-  empty.AppendUnseenRuns(0, 8, 32, &runs);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[1], (std::pair<uint32_t, uint32_t>{0, 8}));
 }
 
 TEST(SeenSetTest, FewerThanKWhenExclusionsShrinkTheStore) {
