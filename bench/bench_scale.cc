@@ -419,7 +419,10 @@ int Run(int argc, char** argv) {
     }
 
     // --- high-seen check: 90% of rows seen, pooled == serial bitwise. ---
+    // Its own 4-thread pool, so the scan really splits into row ranges and
+    // merges them even when the sweep pool has a single thread.
     {
+      ThreadPool check_pool(4);
       store::SeenSet seen(n);
       Rng seen_rng(93);
       for (size_t i = 0; i < n; ++i) {
@@ -427,7 +430,8 @@ int Run(int argc, char** argv) {
       }
       auto queries_span = std::span<const linalg::VecSpan>(spans);
       auto serial = fp32->TopKBatch(queries_span, args.k, seen);
-      auto pooled = fp32->TopKBatch(queries_span, args.k, seen, &pool);
+      auto pooled =
+          fp32->TopKBatch(queries_span, args.k, seen, &check_pool);
       SEESAW_CHECK_EQ(serial.size(), pooled.size());
       for (size_t qi = 0; qi < serial.size(); ++qi) {
         SEESAW_CHECK(SameResults(serial[qi], pooled[qi]))

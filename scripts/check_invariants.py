@@ -121,6 +121,43 @@ def _sources(root: Path, dirs: tuple[str, ...]):
                 yield path
 
 
+def check_scan_control(root: Path) -> list[str]:
+    errors = []
+    for path in _sources(root, ("src",)):
+        text = _strip_comments(path.read_text())
+        for m in _TOPK_SIG.finditer(text):
+            name, params = m.group(1), m.group(2)
+            if "ScanControl" not in params:
+                line = text[: m.start()].count("\n") + 1
+                errors.append(
+                    f"{path.relative_to(root)}:{line}: [scan-control] "
+                    f"{name} override does not take a store::ScanControl — "
+                    "in-scan cancellation would be dropped for this backend"
+                )
+    return errors
+
+
+# ----------------------------------------------------------- single-scan-path
+# A TopK (not TopKBatch) override: the scalar second path.
+_TOPK_OVERRIDE = re.compile(
+    r"\bTopK\s*\([^;{]*?\)\s*(?:const\s*)?override", re.DOTALL
+)
+
+
+def check_single_scan_path(root: Path) -> list[str]:
+    errors = []
+    for path in _sources(root, ("src", "tools")):
+        text = _strip_comments(path.read_text())
+        for m in _TOPK_OVERRIDE.finditer(text):
+            line = text[: m.start()].count("\n") + 1
+            errors.append(
+                f"{path.relative_to(root)}:{line}: [single-scan-path] TopK "
+                "override — implement TopKBatch only; VectorStore::TopK is "
+                "already a batch of one over it"
+            )
+    return errors
+
+
 def _matches(root: Path, paths, pattern: re.Pattern, tag: str, why):
     """One "[tag]" error per match of `pattern` in the comment-stripped text
     of each path; `why(path, match)` words the error, or returns None when
@@ -134,31 +171,6 @@ def _matches(root: Path, paths, pattern: re.Pattern, tag: str, why):
                 line = text[: m.start()].count("\n") + 1
                 errors.append(f"{path.relative_to(root)}:{line}: [{tag}] {reason}")
     return errors
-
-
-def check_scan_control(root: Path) -> list[str]:
-    return _matches(
-        root, _sources(root, ("src",)), _TOPK_SIG, "scan-control",
-        lambda path, m: None if "ScanControl" in m.group(2) else
-        f"{m.group(1)} override does not take a store::ScanControl — "
-        "in-scan cancellation would be dropped for this backend",
-    )
-
-
-# ----------------------------------------------------------- single-scan-path
-# A TopK (not TopKBatch) override: the scalar second path.
-_TOPK_OVERRIDE = re.compile(
-    r"\bTopK\s*\([^;{]*?\)\s*(?:const\s*)?override", re.DOTALL
-)
-
-
-def check_single_scan_path(root: Path) -> list[str]:
-    return _matches(
-        root, _sources(root, ("src", "tools")), _TOPK_OVERRIDE,
-        "single-scan-path",
-        lambda path, m: "TopK override — implement TopKBatch only; "
-        "VectorStore::TopK is already a batch of one over it",
-    )
 
 
 # -------------------------------------------------------------- one-seen-walk
@@ -196,24 +208,42 @@ def check_one_scatter(root: Path) -> list[str]:
 
 
 # -------------------------------------------------------------- raw-threading
-_RAW_THREADING = re.compile(
-    r"std::thread\b(?!\s*::)|std::jthread\b"
-    r"|std::(?:timed_|recursive_|shared_)?mutex\b"
-    r"|std::condition_variable(?:_any)?\b|std::lock_guard\b"
-    r"|std::unique_lock\b|std::scoped_lock\b|\.detach\s*\(\s*\)"
-)
+_RAW_THREADING = [
+    (re.compile(r"std::thread\b(?!\s*::)"), "std::thread"),
+    (re.compile(r"std::jthread\b"), "std::jthread"),
+    (re.compile(r"std::(?:timed_|recursive_|shared_)?mutex\b"), "std::mutex"),
+    (re.compile(r"std::condition_variable(?:_any)?\b"), "std::condition_variable"),
+    (re.compile(r"std::lock_guard\b"), "std::lock_guard"),
+    (re.compile(r"std::unique_lock\b"), "std::unique_lock"),
+    (re.compile(r"std::scoped_lock\b"), "std::scoped_lock"),
+    (re.compile(r"\.detach\s*\(\s*\)"), ".detach()"),
+]
 
 
 def check_raw_threading(root: Path) -> list[str]:
-    # common/ owns the annotated wrappers and the pool's workers.
-    paths = [p for p in _sources(root, ("src", "bench", "examples"))
-             if p.relative_to(root).parts[:2] != ("src", "common")]
-    return _matches(
-        root, paths, _RAW_THREADING, "raw-threading",
-        lambda path, m: f"{m.group(0)} outside src/common — use "
-        "seesaw::Mutex/MutexLock/CondVar/ThreadPool (common/mutex.h) so "
-        "-Wthread-safety can see the acquire",
-    )
+    errors = []
+    scan_dirs = [root / "src", root / "bench", root / "examples"]
+    for base in scan_dirs:
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(root)
+            # common/ owns the annotated wrappers and the pool's workers.
+            if rel.parts[:2] == ("src", "common"):
+                continue
+            text = _strip_comments(path.read_text())
+            for pattern, label in _RAW_THREADING:
+                for m in pattern.finditer(text):
+                    line = text[: m.start()].count("\n") + 1
+                    errors.append(
+                        f"{rel}:{line}: [raw-threading] {label} outside "
+                        "src/common — use seesaw::Mutex/MutexLock/CondVar/"
+                        "ThreadPool (common/mutex.h) so -Wthread-safety can "
+                        "see the acquire"
+                    )
+    return errors
 
 
 # ---------------------------------------------------------------- kernel-libm
@@ -229,13 +259,18 @@ _KERNEL_FORBIDDEN = re.compile(
 
 
 def check_kernel_libm(root: Path) -> list[str]:
-    return _matches(
-        root, sorted((root / "src" / "linalg").glob("kernels_*.cc")),
-        _KERNEL_FORBIDDEN, "kernel-libm",
-        lambda path, m: f"'{m.group(0).strip('(').strip()}' in a kernel file "
-        "— only std::fmaf is inside the fixed accumulation spec; other libm "
-        "reductions break cross-kernel bitwise parity",
-    )
+    errors = []
+    for path in sorted((root / "src" / "linalg").glob("kernels_*.cc")):
+        text = _strip_comments(path.read_text())
+        for m in _KERNEL_FORBIDDEN.finditer(text):
+            line = text[: m.start()].count("\n") + 1
+            errors.append(
+                f"{path.relative_to(root)}:{line}: [kernel-libm] "
+                f"'{m.group(0).strip('(').strip()}' in a kernel file — only "
+                "std::fmaf is inside the fixed accumulation spec; other libm "
+                "reductions break cross-kernel bitwise parity"
+            )
+    return errors
 
 
 # ---------------------------------------------------------------- net-sockets
@@ -257,20 +292,32 @@ _SOCKET_CALL = re.compile(
 
 
 def check_net_sockets(root: Path) -> list[str]:
-    # src/net owns the syscall layer.
-    paths = [p for p in _sources(root, ("src", "bench", "tools", "examples"))
-             if p.relative_to(root).parts[:2] != ("src", "net")]
-    return [
-        error
-        for pattern, label in ((_SOCKET_HEADER, "socket header"),
-                               (_SOCKET_CALL, "raw socket syscall"))
-        for error in _matches(
-            root, paths, pattern, "net-sockets",
-            lambda path, m, label=label: f"{label} '{m.group(0).strip()}' "
-            "outside src/net — go through net::SeeSawClient/SeeSawServer or "
-            "net/socket.h so fd ownership stays in one place",
-        )
-    ]
+    errors = []
+    scan_dirs = [root / "src", root / "bench", root / "tools", root / "examples"]
+    for base in scan_dirs:
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(root)
+            # src/net owns the syscall layer.
+            if rel.parts[:2] == ("src", "net"):
+                continue
+            text = _strip_comments(path.read_text())
+            for pattern, label in (
+                (_SOCKET_HEADER, "socket header"),
+                (_SOCKET_CALL, "raw socket syscall"),
+            ):
+                for m in pattern.finditer(text):
+                    line = text[: m.start()].count("\n") + 1
+                    errors.append(
+                        f"{rel}:{line}: [net-sockets] {label} "
+                        f"'{m.group(0).strip()}' outside src/net — go through "
+                        "net::SeeSawClient/SeeSawServer or net/socket.h so fd "
+                        "ownership stays in one place"
+                    )
+    return errors
 
 
 # ---------------------------------------------------------- concurrency-tests
@@ -539,14 +586,6 @@ def self_test() -> int:
                 f"{'violation' if want else 'clean'}, got: {errors or '[]'}"
             )
 
-    def expect_count(name: str, errors: list[str], n: int, why: str) -> None:
-        """Exactly the n seeded [name] violations: `why` must stay clean."""
-        if sum(f"[{name}]" in e for e in errors) != n:
-            failures.append(
-                f"self-test '{name}': expected exactly {n} seeded "
-                f"violation(s) ({why}), got: {errors}"
-            )
-
     with tempfile.TemporaryDirectory(prefix="seesaw-lint-selftest-") as td:
         root = Path(td)
         # A miniature clean tree: every rule must pass on it.
@@ -661,8 +700,14 @@ def self_test() -> int:
             "    const SeenSet& seen, const ScanControl& control)\n"
             "    const override { return {}; }\n",
         )
-        expect_count("single-scan-path", check_single_scan_path(root), 1,
-                     "TopKBatch overrides")
+        single_errors = check_single_scan_path(root)
+        expect("single-scan-path", single_errors, "[single-scan-path]", True)
+        if sum("[single-scan-path]" in e for e in single_errors) != 1:
+            failures.append(
+                f"self-test 'single-scan-path': expected exactly the 1 seeded "
+                f"violation (TopKBatch overrides must stay clean), got: "
+                f"{single_errors}"
+            )
 
         # one-seen-walk: a store decoding seen bits itself (the comment
         # mention must not count).
@@ -671,8 +716,12 @@ def self_test() -> int:
             "// seen.words() in a comment\n"
             "uint64_t w = seen.words()[0];\n",
         )
-        expect_count("one-seen-walk", check_one_seen_walk(root), 1,
-                     "seen_set.cc")
+        walk_errors = check_one_seen_walk(root)
+        if sum("[one-seen-walk]" in e for e in walk_errors) != 1:
+            failures.append(
+                f"self-test 'one-seen-walk': expected exactly the 1 seeded "
+                f"violation (seen_set.cc must stay clean), got: {walk_errors}"
+            )
 
         # one-scatter: a store with its own fan-out (its MergeTopK mention
         # is a comment and must not count).
@@ -681,8 +730,13 @@ def self_test() -> int:
             "// merged by MergeTopK(...)\n"
             "void F() { pool->ParallelFor(num_shards, scan); }\n",
         )
-        expect_count("one-scatter", check_one_scatter(root), 1,
-                     "vector_store.cc and the per-query fan-outs")
+        scatter_errors = check_one_scatter(root)
+        if sum("[one-scatter]" in e for e in scatter_errors) != 1:
+            failures.append(
+                f"self-test 'one-scatter': expected exactly the 1 seeded "
+                f"violation (vector_store.cc and the per-query fan-outs must "
+                f"stay clean), got: {scatter_errors}"
+            )
 
         # raw-threading: a std::mutex outside common/.
         _write(root / "src/core/bad_mutex.cc", "static std::mutex mu;\n")
@@ -702,7 +756,13 @@ def self_test() -> int:
             "int n = ::send(3, \"x\", 1, 0);\n",
         )
         _write(root / "tools/bad_tool.cc", "#include <netinet/tcp.h>\n")
-        expect_count("net-sockets", check_net_sockets(root), 2, "src/net")
+        net_errors = check_net_sockets(root)
+        expect("net-sockets", net_errors, "[net-sockets]", True)
+        if sum("[net-sockets]" in e for e in net_errors) != 2:
+            failures.append(
+                f"self-test 'net-sockets': expected exactly the 2 seeded "
+                f"violations (src/net must stay exempt), got: {net_errors}"
+            )
 
         # concurrency-tests: a ThreadPool test not registered in CMake, and
         # an unregistered test that includes a serving header.
@@ -711,8 +771,14 @@ def self_test() -> int:
             root / "tests/rogue_server_test.cc",
             '#include "net/server.h"\nint s = 1;\n',
         )
-        expect_count("concurrency-tests", check_concurrency_tests(root), 2,
-                     "registered suites")
+        conc_errors = check_concurrency_tests(root)
+        expect("concurrency-tests", conc_errors, "[concurrency-tests]", True)
+        if sum("[concurrency-tests]" in e for e in conc_errors) != 2:
+            failures.append(
+                f"self-test 'concurrency-tests': expected 2 violations "
+                f"(ThreadPool use and serving-header include), got: "
+                f"{conc_errors}"
+            )
 
         # fault-coverage: a remote-backed store whose only "coverage" is an
         # unregistered test — header + harness includes alone must not count.
@@ -726,8 +792,14 @@ def self_test() -> int:
             '#include "tests/fault_socket.h"\n'
             "int rr = 1;\n",
         )
-        expect_count("fault-coverage", check_fault_coverage(root), 1,
-                     "the covered MiniRemote")
+        fault_errors = check_fault_coverage(root)
+        expect("fault-coverage", fault_errors, "[fault-coverage]", True)
+        if sum("[fault-coverage]" in e for e in fault_errors) != 1:
+            failures.append(
+                f"self-test 'fault-coverage': expected exactly the 1 seeded "
+                f"violation (the covered MiniRemote must stay clean), got: "
+                f"{fault_errors}"
+            )
         # ...and a class owning a Transport, with no suite at all.
         _write(
             root / "src/net/rogue_client.h",
@@ -736,10 +808,15 @@ def self_test() -> int:
             "};\n",
         )
         fault_errors = check_fault_coverage(root)
-        expect_count("fault-coverage", fault_errors, 2, "the covered MiniClient")
-        expect_count("fault-coverage",
-                     [e for e in fault_errors if "'RogueClient'" in e], 1,
-                     "RogueClient once")
+        if (
+            sum("[fault-coverage]" in e for e in fault_errors) != 2
+            or sum("'RogueClient'" in e for e in fault_errors) != 1
+        ):
+            failures.append(
+                f"self-test 'fault-coverage': expected RogueClient flagged "
+                f"exactly once beside RogueRemote (the covered MiniClient "
+                f"must stay clean), got: {fault_errors}"
+            )
 
         # atomic-layout: adjacent raw atomics without padding or exemption,
         # and a Mutex packed next to a raw atomic.
@@ -754,8 +831,14 @@ def self_test() -> int:
             "  std::atomic<bool> dead_{false};\n"
             "};\n",
         )
-        expect_count("atomic-layout", check_atomic_layout(root), 2,
-                     "padded/audited/lone/mutex-only types")
+        layout_errors = check_atomic_layout(root)
+        expect("atomic-layout", layout_errors, "[atomic-layout]", True)
+        if sum("[atomic-layout]" in e for e in layout_errors) != 2:
+            failures.append(
+                f"self-test 'atomic-layout': expected exactly the 2 seeded "
+                f"violations (padded/audited/lone/mutex-only types must stay "
+                f"clean), got: {layout_errors}"
+            )
 
         # bench-json: a latency baseline without percentiles, junk JSON, and
         # a serving baseline that only committed means.

@@ -363,6 +363,29 @@ TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
   }
 }
 
+TEST_F(QuantizedKernelTest, BatchedInt8ScanMatchesBruteForce) {
+  // Within the int8 family, the blocked batch scan and the per-pair oracle
+  // compute the same fixed-order arithmetic — bitwise equal results.
+  const size_t n = 311, dim = 32;
+  MatrixF table = ClusteredTable(n, dim, 8, 67);
+  ExactStoreOptions options;
+  options.precision = ScanPrecision::kInt8;
+  auto store = ExactStore::Create(table, options);
+  ASSERT_TRUE(store.ok());
+  auto queries = RandomQueries(4, dim, 68);
+  auto spans = AsSpans(queries);
+  for (double fraction : {0.0, 0.4, 0.9}) {
+    SeenSet seen = RandomSeenSet(n, fraction, 69);
+    auto batched =
+        store->TopKBatch(std::span<const VecSpan>(spans), 25, seen);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      ExpectIdenticalResults(
+          batched[qi],
+          BruteForceTopK(table, queries[qi], 25, seen, ScanPrecision::kInt8));
+    }
+  }
+}
+
 TEST_F(QuantizedKernelTest, SeenRunScanMatchesBruteForce) {
   // The scan scores only the unseen runs the seen set hands it, a chunk at
   // a time. Whatever the seen density, and for seen sets that end before
