@@ -254,7 +254,7 @@ ChurnResult RunChurn(const Args& args) {
   }
   (void)sink;
 
-  // End to end: repeated real int8 TopKBatch calls against the process-wide
+  // End to end: repeated real TopKBatch calls against the process-wide
   // scan pool, gated the same two ways as memory_audit_test:
   //  - serial (pool=nullptr) is deterministic — one call-level lease plus
   //    one sequentially reused scan lease — so after two warm calls
@@ -270,9 +270,7 @@ ChurnResult RunChurn(const Args& args) {
     for (size_t i = 0; i < args.rows; ++i) {
       for (auto& v : table.MutableRow(i)) v = dist(rng);
     }
-    store::ExactStoreOptions options;
-    options.precision = store::ScanPrecision::kInt8;
-    auto built = store::ExactStore::Create(std::move(table), options);
+    auto built = store::ExactStore::Create(std::move(table));
     linalg::MatrixF queries(nq, dim);
     for (size_t q = 0; q < nq; ++q) {
       for (auto& v : queries.MutableRow(q)) v = dist(rng);

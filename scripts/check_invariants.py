@@ -24,6 +24,13 @@ Rules
                     in vector_store.cc (ScatterTopK, the one scatter/merge),
                     plus the per-query ParallelFor fan-outs of ivf_index.cc
                     and annoy_index.cc.
+  certified-scan    ActiveInt8Kernels( appears under src/ only in
+                    store/exact_store.cc and linalg/: the int8 kernels score
+                    rows only inside the certified scan, whose fp32 rescore
+                    keeps results exact, so no second, approximate int8 scan
+                    can creep back. And ScanPrecision appears nowhere in
+                    src/, tools/, tests/, bench/ or examples/: there is one
+                    scan, not a precision choice.
   raw-threading     No raw std::thread / std::mutex / std::condition_variable
                     / lock_guard / unique_lock / scoped_lock / detach() in
                     src outside common/ (and none anywhere in bench/ or
@@ -205,6 +212,34 @@ def _scatter_outside_home(path: Path, m: re.Match):
 def check_one_scatter(root: Path) -> list[str]:
     return _matches(root, _sources(root, ("src/store",)), _SCATTER_CALL,
                     "one-scatter", _scatter_outside_home)
+
+
+# ------------------------------------------------------------- certified-scan
+_INT8_DISPATCH = re.compile(r"\bActiveInt8Kernels\s*\(")
+_SCAN_PRECISION = re.compile(r"\bScanPrecision\b")
+
+
+def _int8_outside_home(root: Path):
+    def why(path: Path, m: re.Match):
+        rel = path.relative_to(root).as_posix()
+        if rel == "src/store/exact_store.cc" or rel.startswith("src/linalg/"):
+            return None
+        return ("ActiveInt8Kernels( outside store/exact_store.cc and "
+                "linalg/ — int8 scores are only used inside the certified "
+                "scan, which rescores its candidates in fp32")
+    return why
+
+
+def check_certified_scan(root: Path) -> list[str]:
+    errors = _matches(root, _sources(root, ("src",)), _INT8_DISPATCH,
+                      "certified-scan", _int8_outside_home(root))
+    errors += _matches(
+        root, _sources(root, ("src", "tools", "tests", "bench", "examples")),
+        _SCAN_PRECISION, "certified-scan",
+        lambda path, m: "ScanPrecision is gone — the store has one exact "
+        "scan, not a precision choice",
+    )
+    return errors
 
 
 # -------------------------------------------------------------- raw-threading
@@ -551,6 +586,7 @@ RULES = [
     check_single_scan_path,
     check_one_seen_walk,
     check_one_scatter,
+    check_certified_scan,
     check_raw_threading,
     check_kernel_libm,
     check_net_sockets,
@@ -615,6 +651,15 @@ def self_test() -> int:
         _write(
             root / "src/linalg/kernels_scalar.cc",
             "float f() { return std::fmaf(1.f, 2.f, 3.f); }\n",
+        )
+        # The int8 kernels dispatch where the certified-scan rule allows.
+        _write(
+            root / "src/store/exact_store.cc",
+            "auto& k = linalg::ActiveInt8Kernels();\n",
+        )
+        _write(
+            root / "src/linalg/simd_dispatch.cc",
+            "const Int8KernelTable& ActiveInt8Kernels() { return t; }\n",
         )
         _write(
             root / "CMakeLists.txt",
@@ -736,6 +781,35 @@ def self_test() -> int:
                 f"self-test 'one-scatter': expected exactly the 1 seeded "
                 f"violation (vector_store.cc and the per-query fan-outs must "
                 f"stay clean), got: {scatter_errors}"
+            )
+
+        # certified-scan: an approximate int8 scan in another store, and a
+        # test still naming the precision choice (comment mentions of
+        # either must not count).
+        _write(
+            root / "src/store/rogue_int8.cc",
+            "// ActiveInt8Kernels() in a comment\n"
+            "auto& k = linalg::ActiveInt8Kernels();\n",
+        )
+        _write(
+            root / "tests/rogue_precision_test.cc",
+            "// ScanPrecision in a comment\n"
+            "auto p = store::ScanPrecision::kInt8;\n",
+        )
+        certified_errors = check_certified_scan(root)
+        for seeded in ("rogue_int8.cc", "rogue_precision_test.cc"):
+            hits = [e for e in certified_errors
+                    if "[certified-scan]" in e and seeded in e]
+            if len(hits) != 1:
+                failures.append(
+                    f"self-test 'certified-scan': expected exactly 1 "
+                    f"violation in {seeded} (exact_store.cc and linalg/ "
+                    f"must stay clean), got: {certified_errors}"
+                )
+        if len(certified_errors) != 2:
+            failures.append(
+                f"self-test 'certified-scan': expected exactly the 2 seeded "
+                f"violations, got: {certified_errors}"
             )
 
         # raw-threading: a std::mutex outside common/.

@@ -21,7 +21,7 @@
 # vs on, parity-checked), BENCH_serving.json (bench_serving: open-loop TCP
 # serving load — perceived latency percentiles, shed rate, and session churn
 # at SERVING_SESSIONS concurrent think-time sessions) and BENCH_scale.json
-# (via run_scale_suite.sh at SCALE_SIZES, default 1M: fp32 vs int8 scan
+# (via run_scale_suite.sh at SCALE_SIZES, default 1M: certified-scan
 # latency percentiles at scale) into --out-dir (default: repo root) instead
 # of emitting CSV.
 set -euo pipefail

@@ -11,12 +11,12 @@
 #   3. fails on any parity mismatch, connect failure, or scan error — the
 #      gate exits non-zero and this script propagates it.
 #
-# The servers and the gate must agree on --store_rows/--dim/--store_seed/
-# --precision: both ends rebuild the same table from those flags, which is
-# what makes bitwise remote-vs-local parity checkable at all.
+# The servers and the gate must agree on --store_rows/--dim/--store_seed:
+# both ends rebuild the same table from those flags, which is what makes
+# bitwise remote-vs-local parity checkable at all.
 #
 # Usage:
-#   ./scripts/run_remote_smoke.sh [--shards N] [--rows N] [--precision P]
+#   ./scripts/run_remote_smoke.sh [--shards N] [--rows N]
 # Env: BUILD_DIR (default: <repo>/build), REMOTE_SMOKE_DIM/SEED.
 set -euo pipefail
 
@@ -26,7 +26,6 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build}"
 
 SHARDS=2
 ROWS=2000
-PRECISION=fp32
 DIM="${REMOTE_SMOKE_DIM:-32}"
 SEED="${REMOTE_SMOKE_SEED:-7}"
 # The session service behind every server is tiny: store mode doesn't use
@@ -37,7 +36,6 @@ while [[ $# -gt 0 ]]; do
     case "$1" in
         --shards)    SHARDS="$2"; shift 2 ;;
         --rows)      ROWS="$2"; shift 2 ;;
-        --precision) PRECISION="$2"; shift 2 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
 done
@@ -63,13 +61,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== starting $SHARDS shard servers (rows=$ROWS dim=$DIM precision=$PRECISION) ==" >&2
+echo "== starting $SHARDS shard servers (rows=$ROWS dim=$DIM) ==" >&2
 for ((s = 0; s < SHARDS; ++s)); do
     log="$(mktemp)"
     SERVER_LOGS+=("$log")
     "$BUILD_DIR/seesaw_server" --port=0 --scale="$SCALE" --dim="$DIM" \
         --serve_store --shard_index="$s" --num_shards="$SHARDS" \
-        --store_rows="$ROWS" --store_seed="$SEED" --precision="$PRECISION" \
+        --store_rows="$ROWS" --store_seed="$SEED" \
         > "$log" 2>&1 &
     SERVER_PIDS+=($!)
 done
@@ -100,7 +98,6 @@ PORT_LIST="$(IFS=,; echo "${PORTS[*]}")"
 echo "== shard servers up on ports $PORT_LIST; running parity gate ==" >&2
 
 "$BUILD_DIR/remote_parity_gate" --ports="$PORT_LIST" \
-    --store_rows="$ROWS" --dim="$DIM" --store_seed="$SEED" \
-    --precision="$PRECISION"
+    --store_rows="$ROWS" --dim="$DIM" --store_seed="$SEED"
 
-echo "remote store smoke passed ($SHARDS shards, $PRECISION)" >&2
+echo "remote store smoke passed ($SHARDS shards)" >&2

@@ -15,30 +15,28 @@ namespace {
 constexpr uint32_t kCacheMagic = 0x42455353;
 constexpr uint32_t kCacheVersion = 1;
 
-/// Builds the configured store type over a copy of `vectors`.
+/// Builds the configured store type over `table` (which it takes).
 StatusOr<std::unique_ptr<store::VectorStore>> BuildStore(
-    const PreprocessOptions& options, const linalg::MatrixF& vectors) {
-  linalg::MatrixF table_copy = vectors;
+    const PreprocessOptions& options, linalg::MatrixF table) {
   std::unique_ptr<store::VectorStore> out;
   switch (options.backend) {
     case StoreBackend::kAnnoy: {
       SEESAW_ASSIGN_OR_RETURN(
           store::AnnoyIndex index,
-          store::AnnoyIndex::Build(options.annoy, std::move(table_copy)));
+          store::AnnoyIndex::Build(options.annoy, std::move(table)));
       out = std::make_unique<store::AnnoyIndex>(std::move(index));
       break;
     }
     case StoreBackend::kIvf: {
       SEESAW_ASSIGN_OR_RETURN(
           store::IvfFlatIndex index,
-          store::IvfFlatIndex::Build(options.ivf, std::move(table_copy)));
+          store::IvfFlatIndex::Build(options.ivf, std::move(table)));
       out = std::make_unique<store::IvfFlatIndex>(std::move(index));
       break;
     }
     case StoreBackend::kExact: {
-      SEESAW_ASSIGN_OR_RETURN(
-          store::ExactStore index,
-          store::ExactStore::Create(std::move(table_copy), options.exact));
+      SEESAW_ASSIGN_OR_RETURN(store::ExactStore index,
+                              store::ExactStore::Create(std::move(table)));
       out = std::make_unique<store::ExactStore>(std::move(index));
       break;
     }
@@ -46,10 +44,9 @@ StatusOr<std::unique_ptr<store::VectorStore>> BuildStore(
       SEESAW_ASSIGN_OR_RETURN(
           store::ShardedStore index,
           options.sharded_child_factory
-              ? store::ShardedStore::Create(std::move(table_copy),
-                                            options.sharded,
+              ? store::ShardedStore::Create(std::move(table), options.sharded,
                                             options.sharded_child_factory)
-              : store::ShardedStore::Create(std::move(table_copy),
+              : store::ShardedStore::Create(std::move(table),
                                             options.sharded));
       out = std::make_unique<store::ShardedStore>(std::move(index));
       break;
@@ -85,7 +82,7 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Build(
   // --- Embed every tile (data-parallel, like the paper's GPU pipeline). ---
   Stopwatch watch;
   const size_t d = dataset.space().dim();
-  out.vectors_ = linalg::MatrixF(out.patches_.size(), d);
+  linalg::MatrixF vectors(out.patches_.size(), d);
   {
     size_t threads = options.num_threads != 0 ? options.num_threads
                                               : ThreadPool::DefaultThreads();
@@ -99,7 +96,7 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Build(
             static_cast<uint32_t>(v) - out.image_begin_[p.image_idx];
         linalg::VectorF vec =
             dataset.EmbedRegion(p.image_idx, p.box, region_index);
-        std::copy(vec.begin(), vec.end(), out.vectors_.MutableRow(v).begin());
+        std::copy(vec.begin(), vec.end(), vectors.MutableRow(v).begin());
       }
     });
   }
@@ -107,14 +104,14 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Build(
 
   // --- Index. ---
   watch.Restart();
-  SEESAW_ASSIGN_OR_RETURN(out.store_, BuildStore(options, out.vectors_));
+  SEESAW_RETURN_IF_ERROR(out.Index(std::move(vectors), options));
   out.stats_.index_seconds = watch.ElapsedSeconds();
 
   // --- M_D (database alignment preprocessing, §4.2). ---
   if (options.build_md) {
     watch.Restart();
     SEESAW_ASSIGN_OR_RETURN(linalg::MatrixF md,
-                            graph::ComputeMd(out.vectors_, options.md));
+                            graph::ComputeMd(out.vectors(), options.md));
     out.md_ = std::move(md);
     out.stats_.md_seconds = watch.ElapsedSeconds();
   }
@@ -126,7 +123,7 @@ Status EmbeddedDataset::Save(const std::string& path) const {
   SEESAW_RETURN_IF_ERROR(writer.WriteU32(kCacheMagic));
   SEESAW_RETURN_IF_ERROR(writer.WriteU32(kCacheVersion));
   SEESAW_RETURN_IF_ERROR(writer.WriteU64(dataset_->num_images()));
-  SEESAW_RETURN_IF_ERROR(linalg::SaveMatrix(writer, vectors_));
+  SEESAW_RETURN_IF_ERROR(linalg::SaveMatrix(writer, vectors()));
   SEESAW_RETURN_IF_ERROR(writer.WriteU64(patches_.size()));
   for (const PatchRecord& p : patches_) {
     SEESAW_RETURN_IF_ERROR(writer.WriteU32(p.image_idx));
@@ -164,13 +161,13 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Load(
   EmbeddedDataset out;
   out.dataset_ = &dataset;
   out.options_ = options;
-  SEESAW_ASSIGN_OR_RETURN(out.vectors_, linalg::LoadMatrix(reader));
-  if (out.vectors_.cols() != dataset.space().dim()) {
+  SEESAW_ASSIGN_OR_RETURN(linalg::MatrixF vectors, linalg::LoadMatrix(reader));
+  if (vectors.cols() != dataset.space().dim()) {
     return Status::FailedPrecondition("cache embedding dimension mismatch");
   }
 
   SEESAW_ASSIGN_OR_RETURN(uint64_t num_patches, reader.ReadU64());
-  if (num_patches != out.vectors_.rows()) {
+  if (num_patches != vectors.rows()) {
     return Status::IoError("cache patch count does not match vector count");
   }
   out.patches_.resize(num_patches);
@@ -204,7 +201,7 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Load(
   SEESAW_ASSIGN_OR_RETURN(uint32_t has_md, reader.ReadU32());
   if (has_md != 0) {
     SEESAW_ASSIGN_OR_RETURN(linalg::MatrixF md, linalg::LoadMatrix(reader));
-    if (md.rows() != out.vectors_.cols() || md.cols() != out.vectors_.cols()) {
+    if (md.rows() != vectors.cols() || md.cols() != vectors.cols()) {
       return Status::IoError("cache M_D dimension mismatch");
     }
     out.md_ = std::move(md);
@@ -212,9 +209,26 @@ StatusOr<EmbeddedDataset> EmbeddedDataset::Load(
 
   out.stats_.num_vectors = out.patches_.size();
   Stopwatch watch;
-  SEESAW_ASSIGN_OR_RETURN(out.store_, BuildStore(options, out.vectors_));
+  SEESAW_RETURN_IF_ERROR(out.Index(std::move(vectors), options));
   out.stats_.index_seconds = watch.ElapsedSeconds();
   return out;
+}
+
+Status EmbeddedDataset::Index(linalg::MatrixF vectors,
+                              const PreprocessOptions& options) {
+  // The exact store keeps the fp32 rows, so it takes the table and
+  // vectors() reads its copy; every other backend indexes a copy of its
+  // own. One table-sized buffer less for kExact: the store's int8 scan copy
+  // then costs a quarter of the memory it saves.
+  const bool store_owns_table = options.backend == StoreBackend::kExact;
+  if (!store_owns_table) {
+    owned_vectors_ = std::make_unique<linalg::MatrixF>(vectors);
+  }
+  SEESAW_ASSIGN_OR_RETURN(store_, BuildStore(options, std::move(vectors)));
+  vectors_ = store_owns_table
+                 ? &static_cast<const store::ExactStore&>(*store_).vectors()
+                 : owned_vectors_.get();
+  return Status::OK();
 }
 
 }  // namespace seesaw::core

@@ -50,11 +50,8 @@ struct PreprocessOptions {
   /// Compute M_D (needed by DB alignment; skip for baseline-only runs).
   bool build_md = true;
   graph::MdOptions md;
-  /// Index backend and its tuning knobs. Scan precision lives on the
-  /// backend options: `exact.precision` for kExact, `sharded.precision`
-  /// for kSharded (the fp32 master table is retained either way).
+  /// Index backend and its tuning knobs.
   StoreBackend backend = StoreBackend::kExact;
-  store::ExactStoreOptions exact;
   store::AnnoyOptions annoy;
   store::IvfOptions ivf;
   store::ShardedOptions sharded;
@@ -83,9 +80,11 @@ class EmbeddedDataset {
 
   size_t num_images() const { return dataset_->num_images(); }
   size_t num_vectors() const { return patches_.size(); }
-  size_t dim() const { return vectors_.cols(); }
+  size_t dim() const { return vectors_->cols(); }
 
-  const linalg::MatrixF& vectors() const { return vectors_; }
+  /// Every patch vector, one row per vector id (for kExact, the store's
+  /// own table).
+  const linalg::MatrixF& vectors() const { return *vectors_; }
   const PatchRecord& patch(uint32_t vec_id) const { return patches_[vec_id]; }
   const std::vector<PatchRecord>& patches() const { return patches_; }
 
@@ -122,10 +121,17 @@ class EmbeddedDataset {
  private:
   EmbeddedDataset() = default;
 
+  /// Builds store_ over `vectors` and points vectors_ at the table.
+  Status Index(linalg::MatrixF vectors, const PreprocessOptions& options);
+
   const data::Dataset* dataset_ = nullptr;
   PreprocessOptions options_;
   PreprocessStats stats_;
-  linalg::MatrixF vectors_;
+  // The patch table: *owned_vectors_, or the ExactStore's table when the
+  // store owns it (owned_vectors_ then null). Both live on the heap, so
+  // vectors_ survives moves of the EmbeddedDataset.
+  std::unique_ptr<linalg::MatrixF> owned_vectors_;
+  const linalg::MatrixF* vectors_ = nullptr;
   std::vector<PatchRecord> patches_;
   std::vector<uint32_t> image_begin_;  // size num_images+1
   std::unique_ptr<store::VectorStore> store_;

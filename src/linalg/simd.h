@@ -66,12 +66,13 @@ struct KernelTable {
 };
 
 /// The int8 kernel family: scoring over symmetric per-row-quantized tables
-/// (linalg/quantize.h). A separate *family* from the fp32 kernels — scores
-/// are not bitwise comparable across families (the cross-family gate is
-/// recall@k vs the fp32 scan) — but *within* the family every kernel is
-/// bitwise identical by construction: the int32 accumulation is exact, and
-/// the only float operations are the two scale multiplies below, performed
-/// in one fixed order:
+/// (linalg/quantize.h). A separate *family* from the fp32 kernels — its
+/// scores are not the fp32 scores, and nothing returns them: ExactStore
+/// uses them only to rule rows out, within the certified bound of
+/// quantize.h, and rescores every row it keeps with the fp32 kernels above.
+/// *Within* the family every kernel is bitwise identical by construction:
+/// the int32 accumulation is exact, and the only float operations are the
+/// two scale multiplies below, performed in one fixed order:
 ///
 ///   combined = row_scale * query_scale;          // one rounding
 ///   out      = float(int32_sum) * combined;      // one rounding

@@ -1,7 +1,9 @@
 #include "store/exact_store.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/arena.h"
@@ -29,24 +31,46 @@ constexpr size_t kRowBlock = 32;
 /// int8, dim 128, 283k to 4M rows).
 constexpr size_t kRunChunk = 1024;
 
-/// True if any of scores[0..num) might be admitted against thresholds[0..num)
-/// — i.e. NOT (score < threshold) for some lane. The negated-compare keeps
-/// NaN scores on the "might admit" side, so the caller's scalar admit path
-/// (and with it the scan's exact result semantics, ties and NaN included)
-/// stays the single source of truth; this is purely a fast reject for the
+/// Rows a part can queue as fp32-rescore candidates: at least this many,
+/// and 16 per kept result and query, but never more than the part has
+/// rows. A full queue is first compacted against the current thresholds;
+/// only if that frees less than half of it are the survivors rescored
+/// early. Rescoring early only spends fp32 work on rows a later threshold
+/// might have dropped; it never changes results. At 16 per result the
+/// queue rarely overflows: the rows that survive a compaction are each
+/// query's k best plus those within the bound's slack of them, about 3k
+/// per query on clustered dim-128 tables.
+constexpr size_t kCandidateQueue = 4096;
+constexpr size_t kCandidatesPerResult = 16;
+
+/// Rows a pooled scan gives each shard per result it keeps. A shard
+/// rescores at least its k best rows plus those within the bound's slack
+/// of them, about 3k on clustered dim-128 tables, so thinner shards spend
+/// more on fp32 rescoring than the split saves: at 70.7k rows and
+/// k = 496, eight shards rescored 12% of the table, four shards 7%.
+constexpr size_t kRowsPerResult = 32;
+
+/// Tables at least this tall quantize on a build-local pool at Create: at
+/// 283k x 128 that took QuantizeRows from 90 ms to 43 ms (4-vCPU x86).
+constexpr size_t kParallelQuantizeRows = 65536;
+
+/// True if any of values[0..num) might reach thresholds[0..num) — i.e.
+/// NOT (value < threshold) for some lane. The negated compare keeps NaN on
+/// the "might reach" side, so a NaN score or upper bound is always passed
+/// on to the exact path; this is purely a fast reject for the
 /// overwhelmingly common all-below-threshold row.
-inline bool AnyCandidate(const float* scores, const float* thresholds,
+inline bool AnyCandidate(const float* values, const float* thresholds,
                          size_t num) {
   size_t q = 0;
 #if defined(__SSE2__)
   for (; q + 4 <= num; q += 4) {
-    const __m128 s = _mm_loadu_ps(scores + q);
+    const __m128 s = _mm_loadu_ps(values + q);
     const __m128 t = _mm_loadu_ps(thresholds + q);
     if (_mm_movemask_ps(_mm_cmpnlt_ps(s, t)) != 0) return true;
   }
 #endif
   for (; q < num; ++q) {
-    if (!(scores[q] < thresholds[q])) return true;
+    if (!(values[q] < thresholds[q])) return true;
   }
   return false;
 }
@@ -54,29 +78,26 @@ inline bool AnyCandidate(const float* scores, const float* thresholds,
 }  // namespace
 
 StatusOr<ExactStore> ExactStore::Create(linalg::MatrixF vectors) {
-  return Create(std::move(vectors), ExactStoreOptions{});
-}
-
-StatusOr<ExactStore> ExactStore::Create(linalg::MatrixF vectors,
-                                        const ExactStoreOptions& options) {
   if (vectors.rows() == 0 || vectors.cols() == 0) {
     return Status::InvalidArgument("ExactStore: empty vector table");
   }
-  ExactStore store(std::move(vectors), options);
-  if (options.precision == ScanPrecision::kInt8) {
-    store.quantized_ = linalg::QuantizeRows(store.vectors_);
+  ExactStore store(std::move(vectors));
+  std::unique_ptr<ThreadPool> build_pool;
+  if (store.vectors_.rows() >= kParallelQuantizeRows) {
+    build_pool = std::make_unique<ThreadPool>(ThreadPool::DefaultThreads());
   }
+  store.quantized_ = linalg::QuantizeRows(store.vectors_, build_pool.get());
   return store;
 }
 
 void ExactStore::BindStorageToNode(size_t node) {
   numa::BindMemoryToNode(vectors_.mutable_data().data(),
                          vectors_.mutable_data().size() * sizeof(float), node);
-  if (!quantized_.empty()) {
-    numa::BindMemoryToNode(quantized_.data.data(), quantized_.data.size(),
+  numa::BindMemoryToNode(quantized_.data.data(), quantized_.data.size(), node);
+  for (std::vector<float>* per_row :
+       {&quantized_.scales, &quantized_.l1, &quantized_.errs}) {
+    numa::BindMemoryToNode(per_row->data(), per_row->size() * sizeof(float),
                            node);
-    numa::BindMemoryToNode(quantized_.scales.data(),
-                           quantized_.scales.size() * sizeof(float), node);
   }
 }
 
@@ -92,45 +113,46 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
 
   const size_t n = vectors_.rows();
   const size_t dim = vectors_.cols();
-  const bool int8 = options_.precision == ScanPrecision::kInt8;
 
   // All call-lifetime scratch comes from a leased arena: after the first
-  // call at a given (queries, dim) shape the lease costs zero allocations,
-  // where the former fresh-vector scratch paid a malloc/free set per call
+  // call at a given (queries, dim) shape the lease costs zero allocations
   // (tests/memory_audit_test.cc gates this). A *pooled* lease rather than
   // thread_local scratch because HelpUntil waiters are caller-runs: this
   // thread can execute a second TopKBatch as a helped task while shard
   // tasks of this call still read `qdata` — see common/arena.h.
   ScratchPool::Lease call_scratch = GlobalScanScratch().Acquire();
 
-  // Int8 scans quantize the query batch once, into one contiguous block
-  // matching the Int8KernelTable::score_block layout (each query quantized
-  // in place into its slot — no bounce buffer).
-  std::span<int8_t> qdata;
-  std::span<float> qscales;
-  const linalg::Int8KernelTable* int8_kernels = nullptr;
-  const linalg::KernelTable& fp32_kernels = linalg::ActiveKernels();
-  if (int8) {
-    int8_kernels = &linalg::ActiveInt8Kernels();
-    qdata = call_scratch->Alloc<int8_t>(num_queries * dim);
-    qscales = call_scratch->Alloc<float>(num_queries);
-    for (size_t q = 0; q < num_queries; ++q) {
-      qscales[q] =
-          linalg::QuantizeVectorInto(queries[q], qdata.data() + q * dim);
-    }
+  // The query batch is quantized once, into one contiguous block matching
+  // the Int8KernelTable::score_block layout (each query in place into its
+  // slot), and each query gets its certified bound (linalg/quantize.h).
+  std::span<int8_t> qdata = call_scratch->Alloc<int8_t>(num_queries * dim);
+  std::span<float> qscales = call_scratch->Alloc<float>(num_queries);
+  std::span<linalg::QueryBound> bounds =
+      call_scratch->Alloc<linalg::QueryBound>(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) {
+    int8_t* codes = qdata.data() + q * dim;
+    qscales[q] = linalg::QuantizeVectorInto(queries[q], codes);
+    bounds[q] = linalg::BoundQuery(queries[q], codes, qscales[q],
+                                   quantized_.max_abs);
   }
+  const linalg::Int8KernelTable& int8_kernels = linalg::ActiveInt8Kernels();
+  const linalg::KernelTable& fp32_kernels = linalg::ActiveKernels();
 
   size_t num_shards = 1;
   if (pool != nullptr && pool->num_threads() > 1) {
     // A couple of shards per worker evens out stragglers; never fewer rows
-    // per shard than one score block.
-    num_shards = std::min(pool->num_threads() * 2,
-                          std::max<size_t>(1, n / kRowBlock));
+    // per shard than one score block, nor than kRowsPerResult per kept
+    // result: every shard rescores its own k best and their neighbours.
+    num_shards = std::min({pool->num_threads() * 2,
+                           std::max<size_t>(1, n / kRowBlock),
+                           std::max<size_t>(1, n / kRowsPerResult / k)});
   }
   const size_t rows_per_shard = (n + num_shards - 1) / num_shards;
 
   // Each shard scans a disjoint row range into its own task-local heaps;
-  // ScatterTopK merges them.
+  // ScatterTopK merges them. A shard's top k is exact: a row is dropped
+  // only when its upper bound is below the k-th best lower bound among
+  // other rows of the shard, i.e. when k rows certainly beat it.
   auto scan_shard =
       [&](size_t shard) -> std::vector<std::vector<SearchResult>> {
     const size_t begin = shard * rows_per_shard;
@@ -144,16 +166,40 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     ScratchPool::Lease shard_scratch = GlobalScanScratch().Acquire();
     std::span<float> scores =
         shard_scratch->Alloc<float>(kRowBlock * num_queries);
+    std::span<float> exact_scores =
+        shard_scratch->Alloc<float>(kRowBlock * num_queries);
+    std::span<uint8_t> maybe = shard_scratch->Alloc<uint8_t>(kRowBlock);
     std::span<SeenSet::Run> runs =
         shard_scratch->Alloc<SeenSet::Run>(kRunChunk);
-    // Per-query admission thresholds mirrored out of the heaps into flat
-    // arrays, so the overwhelmingly common reject is one compare instead of
-    // a heap-front pointer chase inside the innermost loop.
+    // Per-query admission thresholds mirrored out of the fp32 heaps into
+    // flat arrays, so a rescored row's reject is one compare.
     std::span<float> worst_score = shard_scratch->Alloc<float>(num_queries);
     std::span<uint32_t> worst_id = shard_scratch->Alloc<uint32_t>(num_queries);
     std::fill(worst_score.begin(), worst_score.end(),
               -std::numeric_limits<float>::infinity());
     std::fill(worst_id.begin(), worst_id.end(), 0u);
+    // Per query, the best lower bounds seen so far (a min-heap of at most
+    // `low_cap`), and the candidate threshold: the smallest of them once
+    // low_cap are held, -inf until then.
+    const size_t low_cap = std::max<size_t>(1, std::min(k, end - begin));
+    std::span<float> lows = shard_scratch->Alloc<float>(low_cap * num_queries);
+    std::span<size_t> low_count = shard_scratch->Alloc<size_t>(num_queries);
+    std::span<float> threshold = shard_scratch->Alloc<float>(num_queries);
+    std::fill(low_count.begin(), low_count.end(), size_t{0});
+    std::fill(threshold.begin(), threshold.end(),
+              -std::numeric_limits<float>::infinity());
+    // Queued candidate rows (ascending) and their per-query upper bounds.
+    const size_t queue_cap =
+        std::max<size_t>(1, std::min(end - begin,
+                                     std::max(kCandidateQueue,
+                                              kCandidatesPerResult * low_cap *
+                                                  num_queries)));
+    std::span<uint32_t> cand_rows = shard_scratch->Alloc<uint32_t>(queue_cap);
+    std::span<float> cand_uppers =
+        shard_scratch->Alloc<float>(queue_cap * num_queries);
+    size_t num_cand = 0;
+    uint64_t rescored = 0;
+
     auto admit = [&](size_t q, uint32_t id, float score) {
       TopKHeap& heap = heaps[q];
       if (heap.Full()) {
@@ -168,29 +214,115 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
         worst_id[q] = heap.Worst().id;
       }
     };
-    // Scores rows [r, run_end) against every query and feeds the heaps.
+    // Offers a lower bound above threshold[q] (never NaN) to query q's
+    // min-heap of the best low_cap lower bounds.
+    auto offer_lower = [&](size_t q, float lo) {
+      float* heap = lows.data() + q * low_cap;
+      size_t& count = low_count[q];
+      if (count == low_cap) {
+        std::pop_heap(heap, heap + count, std::greater<float>());
+        --count;
+      }
+      heap[count++] = lo;
+      std::push_heap(heap, heap + count, std::greater<float>());
+      if (count == low_cap) threshold[q] = heap[0];
+    };
+    // Rescores rows [first, last) (at most kRowBlock) with the fp32 kernel
+    // and feeds the heaps: the scores every lookup returns. The kernel
+    // MatrixF::ScoreBlock dispatches to, minus its per-call argument
+    // checks: the queries were checked once above.
+    auto rescore = [&](uint32_t first, uint32_t last) {
+      fp32_kernels.score_block(vectors_.Row(first).data(), last - first, dim,
+                               queries.data(), num_queries,
+                               exact_scores.data());
+      for (uint32_t row = first; row < last; ++row) {
+        const float* row_scores =
+            exact_scores.data() + (row - first) * num_queries;
+        for (size_t q = 0; q < num_queries; ++q) {
+          admit(q, row, row_scores[q]);
+        }
+      }
+      rescored += last - first;
+    };
+    auto still_candidate = [&](size_t i) {
+      return AnyCandidate(cand_uppers.data() + i * num_queries,
+                          threshold.data(), num_queries);
+    };
+    // Drops the queued rows the current thresholds rule out, keeping the
+    // rest queued in order.
+    auto compact = [&] {
+      size_t kept = 0;
+      for (size_t i = 0; i < num_cand; ++i) {
+        if (!still_candidate(i)) continue;
+        if (kept != i) {
+          cand_rows[kept] = cand_rows[i];
+          std::copy_n(cand_uppers.data() + i * num_queries, num_queries,
+                      cand_uppers.data() + kept * num_queries);
+        }
+        ++kept;
+      }
+      num_cand = kept;
+    };
+    // Rescores the queued rows the current thresholds do not rule out,
+    // consecutive rows as one block, and empties the queue.
+    auto flush = [&] {
+      compact();
+      for (size_t i = 0; i < num_cand;) {
+        const uint32_t first = cand_rows[i];
+        uint32_t last = first + 1;
+        for (++i; i < num_cand && cand_rows[i] == last &&
+                  last - first < kRowBlock;
+             ++i) {
+          ++last;
+        }
+        rescore(first, last);
+      }
+      num_cand = 0;
+    };
+    // Scores rows [r, run_end) in int8 against every query and queues the
+    // rows whose upper bound reaches a threshold.
     auto score_run = [&](size_t r, size_t run_end) {
-      if (int8) {
-        int8_kernels->score_block(quantized_.Row(r),
-                                  quantized_.scales.data() + r, run_end - r,
-                                  dim, qdata.data(), qscales.data(),
-                                  num_queries, scores.data());
-      } else {
-        // The kernel MatrixF::ScoreBlock dispatches to, minus its per-call
-        // argument checks: runs are short, and the queries were checked
-        // once above.
-        fp32_kernels.score_block(vectors_.Row(r).data(), run_end - r, dim,
-                                 queries.data(), num_queries, scores.data());
+      const size_t rows = run_end - r;
+      int8_kernels.score_block(quantized_.Row(r),
+                               quantized_.scales.data() + r, rows, dim,
+                               qdata.data(), qscales.data(), num_queries,
+                               scores.data());
+      // Rows that might reach a threshold, a query at a time so the row
+      // loop vectorizes. Thresholds only rise, so testing against their
+      // values at the run's start passes every row the exact per-row test
+      // below would.
+      const float* l1 = quantized_.l1.data() + r;
+      const float* err = quantized_.errs.data() + r;
+      std::fill_n(maybe.data(), rows, uint8_t{0});
+      for (size_t q = 0; q < num_queries; ++q) {
+        const linalg::QueryBound bound = bounds[q];
+        const float t = threshold[q];
+        for (size_t i = 0; i < rows; ++i) {
+          const float upper =
+              scores[i * num_queries + q] + bound.Slack(l1[i], err[i]);
+          maybe[i] |= !(upper < t);
+        }
       }
       for (size_t row = r; row < run_end; ++row) {
+        if (maybe[row - r] == 0) continue;
         const float* row_scores = scores.data() + (row - r) * num_queries;
-        // Fast reject: until every heap is full the thresholds are -inf and
-        // the filter always passes through to admit().
-        if (!AnyCandidate(row_scores, worst_score.data(), num_queries)) {
-          continue;
-        }
+        const float l1 = quantized_.l1[row];
+        const float err = quantized_.errs[row];
+        // Upper bounds go straight into the next queue slot; the slot is
+        // only claimed if the row is queued.
+        float* uppers = cand_uppers.data() + num_cand * num_queries;
         for (size_t q = 0; q < num_queries; ++q) {
-          admit(q, static_cast<uint32_t>(row), row_scores[q]);
+          uppers[q] = row_scores[q] + bounds[q].Slack(l1, err);
+        }
+        if (!AnyCandidate(uppers, threshold.data(), num_queries)) continue;
+        for (size_t q = 0; q < num_queries; ++q) {
+          const float lo = row_scores[q] - bounds[q].Slack(l1, err);
+          if (lo > threshold[q]) offer_lower(q, lo);
+        }
+        cand_rows[num_cand++] = static_cast<uint32_t>(row);
+        if (num_cand == queue_cap) {
+          compact();
+          if (2 * num_cand > queue_cap) flush();
         }
       }
     };
@@ -205,6 +337,10 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
         if (control.ShouldStop()) return {};
         score_run(runs[i].begin, runs[i].end);
       }
+    }
+    flush();
+    if (control.rescored != nullptr) {
+      control.rescored->fetch_add(rescored, std::memory_order_relaxed);
     }
     std::vector<std::vector<SearchResult>> hits(num_queries);
     for (size_t q = 0; q < num_queries; ++q) hits[q] = heaps[q].Take();

@@ -11,14 +11,11 @@ namespace seesaw::store {
 
 StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
                                             const ShardedOptions& options) {
-  ExactStoreOptions child_options;
-  child_options.precision = options.precision;
   return Create(std::move(vectors), options,
-                [child_options](linalg::MatrixF part)
+                [](linalg::MatrixF part)
                     -> StatusOr<std::unique_ptr<VectorStore>> {
-                  SEESAW_ASSIGN_OR_RETURN(
-                      ExactStore child,
-                      ExactStore::Create(std::move(part), child_options));
+                  SEESAW_ASSIGN_OR_RETURN(ExactStore child,
+                                          ExactStore::Create(std::move(part)));
                   return std::unique_ptr<VectorStore>(
                       std::make_unique<ExactStore>(std::move(child)));
                 });
@@ -52,17 +49,24 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
   std::vector<size_t> shard_nodes(num_shards, 0);
   for (size_t s = 0; s < num_shards; ++s) {
     const auto [first, rows] = PartitionRange(n, num_shards, s);
-    linalg::MatrixF part(rows, d);
-    std::copy_n(vectors.Row(first).data(), rows * d,
-                part.mutable_data().data());
+    // One partition is the whole table: hand the input over instead of
+    // holding a second table-sized copy beside it while the child builds.
+    linalg::MatrixF part;
+    if (num_shards == 1) {
+      part = std::move(vectors);
+    } else {
+      part = linalg::MatrixF(rows, d);
+      std::copy_n(vectors.Row(first).data(), rows * d,
+                  part.mutable_data().data());
+    }
     const size_t node = place ? numa::NodeForShard(s) : 0;
     shard_nodes[s] = node;
     if (place) {
       // Bind the partition buffer *before* the factory runs: the rows were
-      // just written by this (arbitrary-node) thread, so first-touch put
-      // them wherever Create runs — MPOL_MF_MOVE migrates them to the
-      // shard's node. Children that take ownership by moving the matrix
-      // keep this binding for free (vector moves preserve the heap block).
+      // written by some (arbitrary-node) thread, so first-touch put them
+      // wherever that ran — MPOL_MF_MOVE migrates them to the shard's
+      // node. Children that take ownership by moving the matrix keep this
+      // binding for free (vector moves preserve the heap block).
       numa::BindMemoryToNode(part.mutable_data().data(),
                              part.mutable_data().size() * sizeof(float),
                              node);
@@ -74,7 +78,7 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
           "ShardedStore: child factory returned a store of the wrong shape");
     }
     if (place) {
-      // Buffers the child built itself (the int8 quantized copy) came from
+      // Buffers the child built itself (the quantized copy) came from
       // the factory's thread, not the bound partition — rebind them. Only
       // ExactStore children are known here; custom factories that allocate
       // their own side tables handle placement themselves.

@@ -57,10 +57,6 @@ struct ShardedOptions {
   /// behavior; benchmarks use 4096.
   size_t min_rows_per_shard = 1;
 
-  /// Scan precision forwarded to the default ExactStore children. Callers
-  /// supplying their own ChildFactory configure children themselves.
-  ScanPrecision precision = ScanPrecision::kFloat32;
-
   /// NUMA placement: assign shard s to node s % numa::NodeCount(), bind its
   /// table pages there (partition buffer before the factory runs; for
   /// ExactStore children also the quantized copy after), and hint its scan
@@ -76,7 +72,8 @@ struct ShardedOptions {
 class ShardedStore : public VectorStore {
  public:
   /// Builds one child store from its partition of the table (rows are
-  /// copied verbatim, ids are partition-local).
+  /// copied verbatim, ids are partition-local; a one-partition store hands
+  /// the factory the input matrix itself).
   using ChildFactory =
       std::function<StatusOr<std::unique_ptr<VectorStore>>(linalg::MatrixF)>;
 

@@ -17,6 +17,7 @@
 #define SEESAW_STORE_VECTOR_STORE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -35,18 +36,6 @@ class ThreadPool;
 }  // namespace seesaw
 
 namespace seesaw::store {
-
-/// Numeric representation a store scans in. Stores always retain the fp32
-/// master table (GetVector serves fp32 either way — the refit/aligner math
-/// needs full precision); kInt8 additionally builds a symmetric per-row
-/// quantized copy (linalg/quantize.h) and scores scans through the int8
-/// kernel family. Int8 scores are not bitwise comparable to fp32 scores —
-/// the cross-family contract is recall@k (>= 0.99 recall@100 on clustered
-/// data, gated in tests/quantized_kernel_test.cc and bench_scale).
-enum class ScanPrecision {
-  kFloat32,  ///< scan the fp32 master table (bitwise-reproducible reference)
-  kInt8,     ///< scan a per-row-quantized int8 copy (~4x less bandwidth)
-};
 
 /// Thread-safe sink for typed scan failures. The VectorStore lookup
 /// signatures return results, not Status — a deliberate choice for the
@@ -122,6 +111,13 @@ struct ScanControl {
   /// results; the caller must check errors->ok() before trusting a merge.
   ScanErrorCollector* errors = nullptr;
 
+  /// Rows the certified exact scan rescored in fp32 (the rows its int8
+  /// bound could not rule out), added once per scanned part. Null = not
+  /// counted. Lets tests and benches see that the int8 filter does its job:
+  /// a bound that degraded to "rescore everything" would still return
+  /// exact results, only slowly.
+  std::atomic<uint64_t>* rescored = nullptr;
+
   /// Checkpoint: runs the hook (if any) and reports whether the scan should
   /// stop here.
   bool ShouldStop() const {
@@ -136,12 +132,18 @@ struct SearchResult {
   float score = 0.0f;
 };
 
-/// The canonical result order: higher score first, lower id breaking ties.
-/// Every backend selects and sorts with this order, which makes the exact
-/// top-k of any candidate set unique — the property the sharding-independent
-/// and remote-vs-local parity guarantees rest on.
+/// The canonical result order: higher score first, lower id breaking ties,
+/// and NaN scores below every number (NaNs among themselves by id), so the
+/// order is total even on tables with non-finite values. Every backend
+/// selects and sorts with this order, which makes the exact top-k of any
+/// candidate set unique — the property the sharding-independent and
+/// remote-vs-local parity guarantees rest on.
 inline bool BetterResult(const SearchResult& a, const SearchResult& b) {
-  if (a.score != b.score) return a.score > b.score;
+  if (a.score > b.score) return true;
+  if (a.score < b.score) return false;
+  const bool a_nan = a.score != a.score;
+  const bool b_nan = b.score != b.score;
+  if (a_nan != b_nan) return b_nan;
   return a.id < b.id;
 }
 

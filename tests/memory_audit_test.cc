@@ -165,23 +165,24 @@ TEST(ScanScratchTest, WarmTopKBatchDoesNotGrowThePool) {
   std::vector<VecSpan> spans = AsSpans(queries);
   store::SeenSet seen = RandomSeenSet(kRows, /*fraction=*/0.2, /*seed=*/33);
 
-  store::ExactStoreOptions options;
-  options.precision = store::ScanPrecision::kInt8;
-  auto int8_store = store::ExactStore::Create(table, options);
-  auto fp32_store = store::ExactStore::Create(table);
-  ASSERT_TRUE(int8_store.ok() && fp32_store.ok());
+  auto exact_store = store::ExactStore::Create(table);
+  ASSERT_TRUE(exact_store.ok());
   ThreadPool pool(3);
 
   // Serial-path gate (deterministic): without a pool a call leases exactly
   // one call-level arena plus one shard-scan arena, sequentially reused —
   // so after two warm calls the global pool must never grow again. This is
-  // the strict "no per-call allocation growth" regression gate.
-  (void)int8_store->TopKBatch(spans, 50, seen, /*pool=*/nullptr);
-  (void)fp32_store->TopKBatch(spans, 50, seen, /*pool=*/nullptr);
+  // the strict "no per-call allocation growth" regression gate. k = 50 and
+  // k = 900 both run: the larger k grows the lower-bound heaps and keeps
+  // the candidate queue busy, and neither may allocate once warm.
+  for (size_t k : {size_t{50}, size_t{900}}) {
+    (void)exact_store->TopKBatch(spans, k, seen, /*pool=*/nullptr);
+  }
   const size_t serial_warm = GlobalScanScratch().created();
   for (int it = 0; it < 30; ++it) {
-    (void)int8_store->TopKBatch(spans, 50, seen, /*pool=*/nullptr);
-    (void)fp32_store->TopKBatch(spans, 50, seen, /*pool=*/nullptr);
+    for (size_t k : {size_t{50}, size_t{900}}) {
+      (void)exact_store->TopKBatch(spans, k, seen, /*pool=*/nullptr);
+    }
   }
   EXPECT_EQ(GlobalScanScratch().created(), serial_warm)
       << "warm serial TopKBatch calls are still creating scratch arenas";
@@ -192,8 +193,9 @@ TEST(ScanScratchTest, WarmTopKBatchDoesNotGrowThePool) {
   // scheduling-dependent, so the pooled gate is the absolute bound — a
   // per-call regression scales with the 40 calls below and blows it.
   for (int it = 0; it < 20; ++it) {
-    (void)int8_store->TopKBatch(spans, 50, seen, &pool);
-    (void)fp32_store->TopKBatch(spans, 50, seen, &pool);
+    for (size_t k : {size_t{50}, size_t{900}}) {
+      (void)exact_store->TopKBatch(spans, k, seen, &pool);
+    }
   }
   EXPECT_LE(GlobalScanScratch().created(), pool.num_threads() + 2)
       << "pooled TopKBatch leases exceed peak concurrency: per-call growth";
@@ -201,15 +203,11 @@ TEST(ScanScratchTest, WarmTopKBatchDoesNotGrowThePool) {
 
   // And the arena-backed scan still equals the brute-force oracle exactly
   // (results bitwise identical — the fix must be invisible in outputs).
-  for (auto* store_ptr : {&*int8_store, &*fp32_store}) {
-    auto batched = store_ptr->TopKBatch(spans, 50, seen, &pool);
-    ASSERT_EQ(batched.size(), spans.size());
-    for (size_t qi = 0; qi < spans.size(); ++qi) {
-      ExpectIdenticalResults(
-          batched[qi],
-          test_util::BruteForceTopK(table, spans[qi], 50, seen,
-                                    store_ptr->options().precision));
-    }
+  auto batched = exact_store->TopKBatch(spans, 50, seen, &pool);
+  ASSERT_EQ(batched.size(), spans.size());
+  for (size_t qi = 0; qi < spans.size(); ++qi) {
+    ExpectIdenticalResults(
+        batched[qi], test_util::BruteForceTopK(table, spans[qi], 50, seen));
   }
 }
 

@@ -139,8 +139,8 @@ TEST(NumaShardedStoreTest, FallbackIsExactlyTheUnplacedStore) {
 
 TEST(NumaShardedStoreTest, PlacementParitySweep) {
   // Placed and unplaced must both be bitwise identical to the brute-force
-  // scan across shard counts, precisions, seen sets, and single-query /
-  // pooled-batch lookups.
+  // scan across shard counts (one shard moves the input matrix instead of
+  // copying it), seen sets, and single-query / pooled-batch lookups.
   constexpr size_t kRows = 700;
   constexpr size_t kDim = 32;
   MatrixF table = RandomTable(kRows, kDim, /*seed=*/21);
@@ -153,30 +153,25 @@ TEST(NumaShardedStoreTest, PlacementParitySweep) {
   ThreadPool pool(3, pool_options);
 
   for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (auto precision :
-         {store::ScanPrecision::kFloat32, store::ScanPrecision::kInt8}) {
-      store::ShardedOptions base;
-      base.num_shards = shards;
-      base.precision = precision;
-      store::ShardedOptions with_numa = base;
-      with_numa.numa_placement = true;
+    store::ShardedOptions base;
+    base.num_shards = shards;
+    store::ShardedOptions with_numa = base;
+    with_numa.numa_placement = true;
 
-      auto unplaced = store::ShardedStore::Create(table, base);
-      auto placed = store::ShardedStore::Create(table, with_numa);
-      ASSERT_TRUE(unplaced.ok() && placed.ok());
+    auto unplaced = store::ShardedStore::Create(table, base);
+    auto placed = store::ShardedStore::Create(table, with_numa);
+    ASSERT_TRUE(unplaced.ok() && placed.ok());
 
-      for (size_t k : {size_t{1}, size_t{17}, kRows + 5}) {
-        auto a = unplaced->TopKBatch(spans, k, seen, &pool);
-        auto b = placed->TopKBatch(spans, k, seen, &pool);
-        ASSERT_EQ(a.size(), spans.size());
-        ASSERT_EQ(b.size(), spans.size());
-        for (size_t qi = 0; qi < spans.size(); ++qi) {
-          auto want = test_util::BruteForceTopK(table, spans[qi], k, seen,
-                                                precision);
-          ExpectIdenticalResults(placed->TopK(spans[qi], k, seen), want);
-          ExpectIdenticalResults(a[qi], want);
-          ExpectIdenticalResults(b[qi], want);
-        }
+    for (size_t k : {size_t{1}, size_t{17}, kRows + 5}) {
+      auto a = unplaced->TopKBatch(spans, k, seen, &pool);
+      auto b = placed->TopKBatch(spans, k, seen, &pool);
+      ASSERT_EQ(a.size(), spans.size());
+      ASSERT_EQ(b.size(), spans.size());
+      for (size_t qi = 0; qi < spans.size(); ++qi) {
+        auto want = test_util::BruteForceTopK(table, spans[qi], k, seen);
+        ExpectIdenticalResults(placed->TopK(spans[qi], k, seen), want);
+        ExpectIdenticalResults(a[qi], want);
+        ExpectIdenticalResults(b[qi], want);
       }
     }
   }

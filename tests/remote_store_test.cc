@@ -1,5 +1,5 @@
 // RemoteStore under the deterministic fault harness and over real sockets:
-// bitwise remote-vs-local parity for every shard count / precision / seen
+// bitwise remote-vs-local parity for every shard count / k / seen
 // fraction, and the full failure-semantics matrix — retry-then-succeed,
 // retries exhausted, a dead peer behind a single-query TopK, deadline
 // expiry (never retried), shard death mid-scan surfacing as a typed
@@ -45,7 +45,6 @@ using store::RemoteStore;
 using store::RemoteStoreOptions;
 using store::ScanControl;
 using store::ScanErrorCollector;
-using store::ScanPrecision;
 using store::SearchResult;
 using store::SeenSet;
 using store::ShardedStore;
@@ -74,11 +73,8 @@ linalg::MatrixF ShardRows(const linalg::MatrixF& table, size_t num_shards,
   return part;
 }
 
-std::unique_ptr<ExactStore> MakeExact(linalg::MatrixF rows,
-                                      ScanPrecision precision) {
-  store::ExactStoreOptions options;
-  options.precision = precision;
-  auto made = ExactStore::Create(std::move(rows), options);
+std::unique_ptr<ExactStore> MakeExact(linalg::MatrixF rows) {
+  auto made = ExactStore::Create(std::move(rows));
   SEESAW_CHECK(made.ok()) << made.status().ToString();
   return std::make_unique<ExactStore>(std::move(*made));
 }
@@ -115,13 +111,13 @@ struct RemoteSharded {
 };
 
 RemoteSharded MakeRemoteSharded(
-    const linalg::MatrixF& table, size_t num_shards, ScanPrecision precision,
+    const linalg::MatrixF& table, size_t num_shards,
     std::vector<std::vector<FaultStep>> scripts = {},
     RemoteStoreOptions options = FastOptions()) {
   RemoteSharded out;
   std::vector<std::unique_ptr<VectorStore>> children;
   for (size_t s = 0; s < num_shards; ++s) {
-    out.peers.push_back(MakeExact(ShardRows(table, num_shards, s), precision));
+    out.peers.push_back(MakeExact(ShardRows(table, num_shards, s)));
     std::vector<FaultStep> script;
     if (s < scripts.size()) script = std::move(scripts[s]);
     auto transport = StorePeer(*out.peers.back(), std::move(script));
@@ -145,10 +141,9 @@ struct RemoteSingle {
 
 RemoteSingle MakeRemoteSingle(const linalg::MatrixF& table,
                               std::vector<FaultStep> script,
-                              RemoteStoreOptions options = FastOptions(),
-                              ScanPrecision precision = ScanPrecision::kFloat32) {
+                              RemoteStoreOptions options = FastOptions()) {
   RemoteSingle out;
-  out.peer = MakeExact(table, precision);
+  out.peer = MakeExact(table);
   auto transport = StorePeer(*out.peer, std::move(script));
   out.transport = transport.get();
   auto remote = RemoteStore::Create(std::move(transport), options);
@@ -161,42 +156,41 @@ RemoteSingle MakeRemoteSingle(const linalg::MatrixF& table,
 
 // A ShardedStore over RemoteStore children returns bit-for-bit what a
 // single local ExactStore over the whole table returns (pinned here to the
-// brute-force oracle, which that store matches exactly) — for every shard
-// count, both scan precisions, and light/heavy exclusion sets. This is the
-// tentpole contract: moving shards out of process must be invisible in the
-// results. (Int8 quantization is per-row, so the sharded int8 scan is also
-// bitwise identical to the unsharded int8 reference.)
+// brute-force fp32 oracle, which that store matches exactly) — for every
+// shard count, k small and large next to a shard, and light/heavy
+// exclusion sets. This is the tentpole contract: moving shards out of
+// process must be invisible in the results. Each peer certifies its own
+// int8 scan (quantization is per row, so a shard's bound terms are those
+// of the same rows in the whole table).
 TEST(RemoteStoreParity, BitwiseEqualToLocalAcrossShardCounts) {
   constexpr size_t kRows = 400;
   constexpr size_t kQueries = 4;
-  constexpr size_t kTopK = 10;
   ThreadPool pool(4);
-  for (ScanPrecision precision :
-       {ScanPrecision::kFloat32, ScanPrecision::kInt8}) {
-    for (size_t dim : {24u, 64u}) {
-      linalg::MatrixF table =
-          test_util::ClusteredTable(kRows, dim, /*centers=*/8, /*seed=*/dim);
-      auto queries = test_util::RandomQueries(kQueries, dim, /*seed=*/7 + dim);
-      auto spans = test_util::AsSpans(queries);
-      for (size_t shards : {1u, 2u, 3u, 7u}) {
-        RemoteSharded remote = MakeRemoteSharded(table, shards, precision);
-        ASSERT_EQ(remote.store().size(), kRows);
-        ASSERT_EQ(remote.store().dim(), dim);
-        for (double fraction : {0.0, 0.3, 0.9}) {
-          SeenSet seen = test_util::RandomSeenSet(
-              kRows, fraction, /*seed=*/101 * shards + dim);
+  for (size_t dim : {24u, 64u}) {
+    linalg::MatrixF table =
+        test_util::ClusteredTable(kRows, dim, /*centers=*/8, /*seed=*/dim);
+    auto queries = test_util::RandomQueries(kQueries, dim, /*seed=*/7 + dim);
+    auto spans = test_util::AsSpans(queries);
+    for (size_t shards : {1u, 2u, 3u, 7u}) {
+      RemoteSharded remote = MakeRemoteSharded(table, shards);
+      ASSERT_EQ(remote.store().size(), kRows);
+      ASSERT_EQ(remote.store().dim(), dim);
+      for (double fraction : {0.0, 0.3, 0.9}) {
+        SeenSet seen = test_util::RandomSeenSet(
+            kRows, fraction, /*seed=*/101 * shards + dim);
+        for (size_t top_k : {size_t{10}, size_t{45}}) {
           ScanErrorCollector errors;
           ScanControl control;
           control.errors = &errors;
           auto got =
-              remote.store().TopKBatch(spans, kTopK, seen, &pool, control);
+              remote.store().TopKBatch(spans, top_k, seen, &pool, control);
           EXPECT_TRUE(errors.ok()) << errors.first().ToString();
           ASSERT_EQ(got.size(), queries.size());
           for (size_t i = 0; i < queries.size(); ++i) {
-            auto want = test_util::BruteForceTopK(table, queries[i], kTopK,
-                                                  seen, precision);
+            auto want =
+                test_util::BruteForceTopK(table, queries[i], top_k, seen);
             test_util::ExpectIdenticalResults(
-                remote.store().TopK(queries[i], kTopK, seen), want);
+                remote.store().TopK(queries[i], top_k, seen), want);
             test_util::ExpectIdenticalResults(got[i], want);
           }
         }
@@ -213,7 +207,7 @@ TEST(RemoteStoreParity, KLargerThanShardRows) {
   constexpr size_t kDim = 16;
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/3);
   RemoteSharded remote =
-      MakeRemoteSharded(table, /*num_shards=*/7, ScanPrecision::kFloat32);
+      MakeRemoteSharded(table, /*num_shards=*/7);
   auto queries = test_util::RandomQueries(2, kDim, /*seed=*/11);
   for (const auto& q : queries) {
     // 80 > ceil(120/7) rows per shard; also exercises the full-table tail.
@@ -397,8 +391,7 @@ TEST(RemoteStoreFaults, ShardDeathMidScanReportsToCollector) {
   // passes, then 1 + max_retries = 4 scripted drops).
   std::vector<std::vector<FaultStep>> scripts(3);
   scripts[1] = {Pass(), Drop(), Drop(), Drop(), Drop()};
-  RemoteSharded remote = MakeRemoteSharded(table, /*num_shards=*/3,
-                                           ScanPrecision::kFloat32, scripts);
+  RemoteSharded remote = MakeRemoteSharded(table, /*num_shards=*/3, scripts);
 
   auto queries = test_util::RandomQueries(3, kDim, /*seed=*/30);
   auto spans = test_util::AsSpans(queries);
@@ -467,7 +460,7 @@ TEST(RemoteStoreFaults, PreCancelledScanSkipsRpcAndReportsNothing) {
 // after exhausting retries — constructing a RemoteStore never hangs.
 TEST(RemoteStoreFaults, CreateFailsTypedOnDeadPeer) {
   linalg::MatrixF table = test_util::RandomTable(40, 8, /*seed=*/35);
-  auto peer = MakeExact(table, ScanPrecision::kFloat32);
+  auto peer = MakeExact(table);
   auto transport = StorePeer(*peer, {Drop(), Drop(), Drop(), Drop()});
   auto remote = RemoteStore::Create(std::move(transport), FastOptions());
   ASSERT_FALSE(remote.ok());
@@ -492,8 +485,8 @@ TEST(RemoteStoreFaults, ForgedHitsAreRejectedAsMalformed) {
            [](net::StoreTopKBatchReply* r) {
              r->results[0].push_back(r->results[0].back());
            }}) {
-    auto shard0 = MakeExact(ShardRows(table, 2, 0), ScanPrecision::kFloat32);
-    auto shard1 = MakeExact(ShardRows(table, 2, 1), ScanPrecision::kFloat32);
+    auto shard0 = MakeExact(ShardRows(table, 2, 0));
+    auto shard1 = MakeExact(ShardRows(table, 2, 1));
     net::StoreFrameService service(*shard0, /*pool=*/nullptr);
     auto forging = std::make_unique<FaultTransport>(
         [&](const net::FrameHeader& header, std::string_view payload) {
@@ -581,7 +574,7 @@ TEST(RemoteStoreFaults, ShardedRowsPastU32IdsAreRejected) {
 TEST(StoreFrameServiceTest, OversizedKIsClampedToStoreSize) {
   constexpr size_t kRows = 50;
   linalg::MatrixF table = test_util::RandomTable(kRows, 8, /*seed=*/49);
-  auto store = MakeExact(table, ScanPrecision::kFloat32);
+  auto store = MakeExact(table);
   net::StoreFrameService service(*store, /*pool=*/nullptr);
 
   net::StoreTopKBatchRequest req;
@@ -707,8 +700,8 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
   constexpr size_t kDim = 16;
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/41);
 
-  auto shard0 = MakeExact(ShardRows(table, 2, 0), ScanPrecision::kFloat32);
-  auto shard1 = MakeExact(ShardRows(table, 2, 1), ScanPrecision::kFloat32);
+  auto shard0 = MakeExact(ShardRows(table, 2, 0));
+  auto shard1 = MakeExact(ShardRows(table, 2, 1));
   StoreServerFixture server0(*shard0);
   StoreServerFixture server1(*shard1);
 
@@ -753,7 +746,7 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
 // keeps the connection open for the next request.
 TEST(RemoteStoreSockets, RetiredFrameTypeGetsUnknownTypeAndConnectionLives) {
   linalg::MatrixF table = test_util::RandomTable(40, 8, /*seed=*/46);
-  auto exact = MakeExact(table, ScanPrecision::kFloat32);
+  auto exact = MakeExact(table);
   StoreServerFixture server(*exact);
   auto made = net::TcpTransport::Connect("127.0.0.1", server.server.port());
   ASSERT_TRUE(made.ok()) << made.status().ToString();
@@ -829,7 +822,7 @@ TEST(RemoteStoreSockets, CancellationAbandonsInFlightSocketWait) {
   constexpr size_t kRows = 120;
   constexpr size_t kDim = 16;
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/44);
-  auto exact = MakeExact(table, ScanPrecision::kFloat32);
+  auto exact = MakeExact(table);
   BlockingStore blocking(*exact);
   StoreServerFixture server(blocking);
 

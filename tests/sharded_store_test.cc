@@ -45,9 +45,9 @@ MatrixF DuplicateRowTable(size_t n, size_t d, size_t distinct, uint64_t seed) {
   return table;
 }
 
-/// Asserts ShardedStore == the brute-force scan of the unsharded table at
-/// `exact`'s precision (ExactStore's contract), bitwise, for single queries
-/// and batches (serial and pooled) at several k, under the given seen set.
+/// Asserts ShardedStore == the brute-force fp32 scan of the unsharded table
+/// (ExactStore's contract), bitwise, for single queries and batches (serial
+/// and pooled) at several k, under the given seen set.
 void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
                         const std::vector<VectorF>& queries,
                         const SeenSet& seen, ThreadPool* pool) {
@@ -57,8 +57,7 @@ void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
   for (size_t k : {size_t{1}, size_t{13}, n + 7}) {
     std::vector<std::vector<SearchResult>> want;
     for (const VecSpan& q : spans) {
-      want.push_back(test_util::BruteForceTopK(exact.vectors(), q, k, seen,
-                                               exact.options().precision));
+      want.push_back(test_util::BruteForceTopK(exact.vectors(), q, k, seen));
     }
     auto serial = sharded.TopKBatch(std::span<const VecSpan>(spans), k, seen,
                                     /*pool=*/nullptr);
@@ -128,6 +127,45 @@ TEST(ShardedStoreTest, ClampsShardCountToRows) {
                      /*pool=*/nullptr);
 }
 
+TEST(ShardedStoreTest, OnePartitionHandsTheInputToTheFactory) {
+  // One partition is the whole table: the factory must receive the input
+  // matrix itself (its row buffer), not a second table-sized copy — with
+  // and without NUMA placement, which binds that same buffer. Two
+  // partitions still get fresh copies of their ranges.
+  for (bool numa_placement : {false, true}) {
+    MatrixF table = RandomTable(64, 8, 8);
+    const float* input_rows = table.Row(0).data();
+    std::vector<const float*> received;
+    ShardedStore::ChildFactory factory =
+        [&](MatrixF part) -> StatusOr<std::unique_ptr<VectorStore>> {
+      received.push_back(part.Row(0).data());
+      SEESAW_ASSIGN_OR_RETURN(ExactStore child,
+                              ExactStore::Create(std::move(part)));
+      return std::unique_ptr<VectorStore>(
+          std::make_unique<ExactStore>(std::move(child)));
+    };
+    ShardedOptions options;
+    options.numa_placement = numa_placement;
+    MatrixF reference = table;
+    auto single = ShardedStore::Create(std::move(table), options, factory);
+    ASSERT_TRUE(single.ok());
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0], input_rows);
+    auto exact = ExactStore::Create(reference);
+    ASSERT_TRUE(exact.ok());
+    CheckShardedParity(*exact, *single, RandomQueries(2, 8, 9),
+                       EmptySeenSet(), /*pool=*/nullptr);
+
+    received.clear();
+    options.num_shards = 2;
+    const float* reference_rows = reference.Row(0).data();
+    auto two = ShardedStore::Create(reference, options, factory);
+    ASSERT_TRUE(two.ok());
+    ASSERT_EQ(received.size(), 2u);
+    EXPECT_NE(received[0], reference_rows);
+  }
+}
+
 TEST(ShardedStoreTest, RandomizedParitySweep) {
   // The acceptance property: bitwise-identical TopK/TopKBatch vs a single
   // ExactStore for every shard count, across odd dims/row counts and seen
@@ -142,13 +180,6 @@ TEST(ShardedStoreTest, RandomizedParitySweep) {
     MatrixF table = RandomTable(c.n, c.d, c.seed);
     auto exact = ExactStore::Create(table);
     ASSERT_TRUE(exact.ok());
-    // Quantized rows ride the same sweep: a sharded int8 store must be
-    // bitwise equal to a single int8 ExactStore (within-family parity; the
-    // int32 accumulation is exact, so partitioning cannot perturb scores).
-    ExactStoreOptions int8_options;
-    int8_options.precision = ScanPrecision::kInt8;
-    auto exact8 = ExactStore::Create(table, int8_options);
-    ASSERT_TRUE(exact8.ok());
     auto queries = RandomQueries(4, c.d, c.seed + 100);
     for (size_t shards : kShardCounts) {
       ShardedOptions options;
@@ -161,14 +192,6 @@ TEST(ShardedStoreTest, RandomizedParitySweep) {
       }
       // An empty (capacity-0) global seen set must slice cleanly too.
       CheckShardedParity(*exact, *sharded, queries, EmptySeenSet(), &pool);
-
-      options.precision = ScanPrecision::kInt8;
-      auto sharded8 = ShardedStore::Create(table, options);
-      ASSERT_TRUE(sharded8.ok());
-      for (double fraction : {0.0, 0.5, 0.99}) {
-        SeenSet seen = RandomSeenSet(c.n, fraction, c.seed + 7);
-        CheckShardedParity(*exact8, *sharded8, queries, seen, &pool);
-      }
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include "clip/concept_space.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
 #include "tests/test_util.h"
@@ -87,6 +88,66 @@ TEST(ExactStoreTest, MatchesBruteForceOracle) {
       test_util::ExpectIdenticalResults(
           store->TopK(q, 40, seen),
           test_util::BruteForceTopK(table, q, 40, seen));
+    }
+  }
+}
+
+TEST(ExactStoreTest, CertifiedScanEdgeCasesMatchBruteForce) {
+  // The int8 filter must never decide a result: k = 1, k at and past the
+  // unseen row count, fully seen tables, all-zero tables (every score ties
+  // at zero, so ids decide), exact duplicates and large non-unit rows all
+  // return the brute-force fp32 top-k bit for bit, serial and pooled.
+  struct Case {
+    const char* name;
+    MatrixF table;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"clustered", ClusteredTable(400, 16, 5, 18)});
+  cases.push_back({"zeros", MatrixF(150, 16)});
+  {
+    MatrixF dup(400, 16);
+    MatrixF base = RandomTable(20, 16, 19);
+    for (size_t r = 0; r < 400; ++r) {
+      auto src = base.Row(r % 20);
+      std::copy(src.begin(), src.end(), dup.MutableRow(r).begin());
+    }
+    cases.push_back({"duplicates", std::move(dup)});
+  }
+  {
+    MatrixF big = RandomTable(400, 16, 20);
+    for (size_t r = 0; r < 400; ++r) {
+      for (float& x : big.MutableRow(r)) x *= 1e4f * static_cast<float>(r % 7);
+    }
+    cases.push_back({"large_norms", std::move(big)});
+  }
+  ThreadPool pool(3);
+  auto queries = test_util::RandomQueries(3, 16, 21);
+  auto spans = test_util::AsSpans(queries);
+  for (const Case& c : cases) {
+    auto store = ExactStore::Create(c.table);
+    ASSERT_TRUE(store.ok());
+    const size_t n = c.table.rows();
+    for (double fraction : {0.0, 0.5, 1.0}) {
+      SeenSet seen = test_util::RandomSeenSet(n, fraction, 22);
+      size_t unseen = 0;
+      for (uint32_t id = 0; id < n; ++id) unseen += seen.Test(id) ? 0 : 1;
+      for (size_t k : {size_t{1}, size_t{7}, unseen, unseen + 1, n + 3}) {
+        if (k == 0) continue;
+        for (ThreadPool* scan_pool :
+             {static_cast<ThreadPool*>(nullptr), &pool}) {
+          SCOPED_TRACE(testing::Message()
+                       << c.name << " seen=" << fraction << " k=" << k
+                       << " pooled=" << (scan_pool != nullptr));
+          auto got = store->TopKBatch(std::span<const linalg::VecSpan>(spans),
+                                      k, seen, scan_pool);
+          ASSERT_EQ(got.size(), queries.size());
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            test_util::ExpectIdenticalResults(
+                got[qi], test_util::BruteForceTopK(c.table, queries[qi], k,
+                                                   seen));
+          }
+        }
+      }
     }
   }
 }

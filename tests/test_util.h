@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <memory>
@@ -21,8 +22,6 @@
 #include "core/searcher_base.h"
 #include "data/profiles.h"
 #include "linalg/matrix.h"
-#include "linalg/quantize.h"
-#include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "store/seen_set.h"
 #include "store/vector_store.h"
@@ -103,40 +102,25 @@ inline void ExpectIdenticalResults(
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i].score),
+              std::bit_cast<uint32_t>(want[i].score))
+        << "rank " << i << ": " << got[i].score << " vs " << want[i].score;
   }
 }
 
 /// Independent oracle for exact scans: scores every unseen row of `table`
-/// pair by pair, then sorts all candidates under BetterResult and keeps k.
-/// fp32 scores are linalg::Dot(row, query); kInt8 scores follow the int8
-/// family's fixed spec, dot_i32(row, query) * (row_scale * query_scale).
-/// Shares no scan loop, heap or merge with any store, so comparing a store
-/// against it never compares a path with itself.
+/// pair by pair with linalg::Dot(row, query), then sorts all candidates
+/// under BetterResult and keeps k. Shares no scan loop, heap, int8 filter
+/// or merge with any store, so comparing a store against it never compares
+/// a path with itself.
 inline std::vector<store::SearchResult> BruteForceTopK(
     const linalg::MatrixF& table, linalg::VecSpan query, size_t k,
-    const store::SeenSet& seen = store::EmptySeenSet(),
-    store::ScanPrecision precision = store::ScanPrecision::kFloat32) {
-  const bool int8 = precision == store::ScanPrecision::kInt8;
-  linalg::QuantizedTable rows;
-  linalg::QuantizedVector q;
-  if (int8) {
-    rows = linalg::QuantizeRows(table);
-    q = linalg::QuantizeQuery(query);
-  }
+    const store::SeenSet& seen = store::EmptySeenSet()) {
   std::vector<store::SearchResult> all;
   for (size_t i = 0; i < table.rows(); ++i) {
     const auto id = static_cast<uint32_t>(i);
     if (seen.Test(id)) continue;
-    float score;
-    if (int8) {
-      const int32_t acc = linalg::ActiveInt8Kernels().dot_i32(
-          rows.Row(i), q.data.data(), table.cols());
-      score = static_cast<float>(acc) * (rows.scale(i) * q.scale);
-    } else {
-      score = linalg::Dot(table.Row(i), query);
-    }
-    all.push_back({id, score});
+    all.push_back({id, linalg::Dot(table.Row(i), query)});
   }
   std::sort(all.begin(), all.end(), store::BetterResult);
   if (all.size() > k) all.resize(k);

@@ -12,7 +12,7 @@
 // Usage:
 //   remote_parity_gate --ports=P0,P1,... [--host=127.0.0.1]
 //                      [--store_rows=2000] [--dim=32] [--store_seed=7]
-//                      [--precision=fp32] [--queries=4] [--k=10]
+//                      [--queries=4] [--k=10]
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +37,6 @@ struct Flags {
   size_t store_rows = 2000;
   size_t dim = 32;
   uint64_t store_seed = 7;
-  std::string precision = "fp32";
   size_t queries = 4;
   size_t k = 10;
 };
@@ -70,8 +69,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.dim = static_cast<size_t>(std::atoi(v.c_str()));
     } else if (ParseOne(argv[i], "--store_seed", &v)) {
       f.store_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (ParseOne(argv[i], "--precision", &v)) {
-      f.precision = v;
     } else if (ParseOne(argv[i], "--queries", &v)) {
       f.queries = static_cast<size_t>(std::atoi(v.c_str()));
     } else if (ParseOne(argv[i], "--k", &v)) {
@@ -116,18 +113,11 @@ int main(int argc, char** argv) {
   using namespace seesaw;
 
   Flags flags = ParseFlags(argc, argv);
-  SEESAW_CHECK(flags.precision == "fp32" || flags.precision == "int8")
-      << "--precision must be fp32 or int8";
-  const auto precision = flags.precision == "int8"
-                             ? store::ScanPrecision::kInt8
-                             : store::ScanPrecision::kFloat32;
 
   // The same table the shard servers partitioned, and the local reference.
   linalg::MatrixF table =
       tools::DeterministicTable(flags.store_rows, flags.dim, flags.store_seed);
-  store::ExactStoreOptions store_options;
-  store_options.precision = precision;
-  auto reference = store::ExactStore::Create(table, store_options);
+  auto reference = store::ExactStore::Create(table);
   SEESAW_CHECK(reference.ok()) << reference.status().ToString();
 
   std::vector<std::unique_ptr<store::VectorStore>> children;
@@ -214,8 +204,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("PARITY OK (%zu shards, %zu rows, dim %zu, %s)\n",
-              flags.ports.size(), flags.store_rows, flags.dim,
-              flags.precision.c_str());
+  std::printf("PARITY OK (%zu shards, %zu rows, dim %zu)\n",
+              flags.ports.size(), flags.store_rows, flags.dim);
   return 0;
 }

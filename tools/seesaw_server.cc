@@ -23,7 +23,7 @@
 //                 [--idle_ttl_seconds=60] [--max_connections=4096]
 //                 [--max_queued_requests=256] [--sweep_interval_seconds=1]
 //                 [--serve_store] [--shard_index=0] [--num_shards=1]
-//                 [--store_rows=2000] [--store_seed=7] [--precision=fp32]
+//                 [--store_rows=2000] [--store_seed=7]
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -67,7 +67,6 @@ struct Flags {
   size_t num_shards = 1;
   size_t store_rows = 2000;
   uint64_t store_seed = 7;
-  std::string precision = "fp32";
 };
 
 bool ParseOne(const char* arg, const char* name, std::string* out) {
@@ -111,8 +110,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.store_rows = static_cast<size_t>(std::atoi(v.c_str()));
     } else if (ParseOne(argv[i], "--store_seed", &v)) {
       f.store_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (ParseOne(argv[i], "--precision", &v)) {
-      f.precision = v;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::exit(2);
@@ -160,8 +157,6 @@ int main(int argc, char** argv) {
   if (flags.serve_store) {
     SEESAW_CHECK(flags.shard_index < flags.num_shards)
         << "--shard_index must be < --num_shards";
-    SEESAW_CHECK(flags.precision == "fp32" || flags.precision == "int8")
-        << "--precision must be fp32 or int8";
     linalg::MatrixF table =
         tools::DeterministicTable(flags.store_rows, flags.dim, flags.store_seed);
     auto [first, count] = store::ShardedStore::PartitionRange(
@@ -171,18 +166,13 @@ int main(int argc, char** argv) {
       auto src = table.Row(first + r);
       std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
     }
-    store::ExactStoreOptions store_options;
-    store_options.precision = flags.precision == "int8"
-                                  ? store::ScanPrecision::kInt8
-                                  : store::ScanPrecision::kFloat32;
-    auto made = store::ExactStore::Create(std::move(part), store_options);
+    auto made = store::ExactStore::Create(std::move(part));
     SEESAW_CHECK(made.ok()) << made.status().ToString();
     shard_store = std::make_unique<store::ExactStore>(std::move(*made));
     server.ServeStore(*shard_store);
     SEESAW_LOG(Info) << "store mode: shard " << flags.shard_index << "/"
                      << flags.num_shards << " rows [" << first << ", "
-                     << first + count << ") of " << flags.store_rows
-                     << " precision=" << flags.precision;
+                     << first + count << ") of " << flags.store_rows;
   }
 
   Status started = server.Start();
