@@ -288,9 +288,9 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
                                qdata.data(), qscales.data(), num_queries,
                                scores.data());
       // Rows that might reach a threshold, a query at a time so the row
-      // loop vectorizes. Thresholds only rise, so testing against their
-      // values at the run's start passes every row the exact per-row test
-      // below would.
+      // loop vectorizes. Each upper here is a certified bound and the
+      // thresholds only rise, so a row this test drops can never reach
+      // the top k.
       const float* l1 = quantized_.l1.data() + r;
       const float* err = quantized_.errs.data() + r;
       std::fill_n(maybe.data(), rows, uint8_t{0});
