@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/embedded_dataset.h"
 #include "core/service.h"
+#include "store/exact_store.h"
 #include "data/profiles.h"
 #include "linalg/serialize.h"
 
@@ -147,6 +148,29 @@ TEST(EmbeddedCacheTest, SaveLoadRoundTrip) {
   auto b = built->store().TopK(q, 5);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
+}
+
+TEST(EmbeddedCacheTest, ExactStoreSharesTheTable) {
+  // With the exact backend the store keeps the only fp32 table and
+  // vectors() reads it, across moves of the dataset; other backends index a
+  // copy of their own. Either way vectors() holds the same rows.
+  auto ds = data::Dataset::Generate(SmallProfile());
+  ASSERT_TRUE(ds.ok());
+  core::PreprocessOptions options;
+  options.build_md = false;
+  auto exact = core::EmbeddedDataset::Build(*ds, options);
+  ASSERT_TRUE(exact.ok());
+  core::EmbeddedDataset moved = std::move(*exact);
+  const auto& store = static_cast<const store::ExactStore&>(moved.store());
+  EXPECT_EQ(&moved.vectors(), &store.vectors());
+
+  options.backend = core::StoreBackend::kIvf;
+  auto ivf = core::EmbeddedDataset::Build(*ds, options);
+  ASSERT_TRUE(ivf.ok());
+  EXPECT_EQ(ivf->vectors().data(), moved.vectors().data());
+  for (uint32_t id : {0u, 7u}) {
+    EXPECT_NE(ivf->store().GetVector(id).data(), ivf->vectors().Row(id).data());
+  }
 }
 
 TEST(EmbeddedCacheTest, RejectsWrongDataset) {
