@@ -20,10 +20,11 @@ Rules
                     needs) that the one-path design deleted.
   one-seen-walk     No src/store/*.cc but seen_set.cc reads SeenSet::words():
                     NextUnseenRuns is the one walk of the seen bitmap.
-  one-scatter       Under src/store, MergeTopK( and ParallelFor( appear only
-                    in vector_store.cc (ScatterTopK, the one scatter/merge),
-                    plus the per-query ParallelFor fan-outs of ivf_index.cc
-                    and annoy_index.cc.
+  one-scatter       Under src/store, MergeTopK(, ParallelFor( and
+                    SubmitWithResult( appear only in vector_store.cc
+                    (ScatterTopK, the one scatter/merge, fans out through
+                    SubmitWithResult), plus the per-query ParallelFor
+                    fan-outs of ivf_index.cc and annoy_index.cc.
   certified-scan    ActiveInt8Kernels( appears under src/ only in
                     store/exact_store.cc and linalg/: the int8 kernels score
                     rows only inside the certified scan, whose fp32 rescore
@@ -195,7 +196,9 @@ def check_one_seen_walk(root: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------- one-scatter
-_SCATTER_CALL = re.compile(r"\b(MergeTopK|ParallelFor)\s*\(")
+_SCATTER_CALL = re.compile(
+    r"\b(MergeTopK|ParallelFor|SubmitWithResult)\s*\("
+)
 # Per-query fan-outs (one task per query, no cross-part merge).
 _PER_QUERY_FANOUT = {"ivf_index.cc", "annoy_index.cc"}
 
@@ -642,7 +645,8 @@ def self_test() -> int:
         )
         _write(
             root / "src/store/vector_store.cc",
-            "void S() { pool->ParallelFor(n, run); MergeTopK(m, k); }\n",
+            "void S() { pool->ParallelFor(n, run); MergeTopK(m, k); }\n"
+            "auto h = pool->SubmitWithResult(task, node);\n",
         )
         _write(
             root / "src/store/ivf_index.cc",
@@ -781,6 +785,23 @@ def self_test() -> int:
                 f"self-test 'one-scatter': expected exactly the 1 seeded "
                 f"violation (vector_store.cc and the per-query fan-outs must "
                 f"stay clean), got: {scatter_errors}"
+            )
+        # ...and a second fan-out through per-part handles (its comment
+        # mention must not count).
+        _write(
+            root / "src/store/rogue_fanout.cc",
+            "// pool->SubmitWithResult(part) in a comment\n"
+            "handles.push_back(pool->SubmitWithResult(part));\n",
+        )
+        scatter_errors = check_one_scatter(root)
+        if (
+            len(scatter_errors) != 2
+            or sum("rogue_fanout.cc" in e for e in scatter_errors) != 1
+        ):
+            failures.append(
+                f"self-test 'one-scatter': expected the seeded "
+                f"SubmitWithResult fan-out flagged exactly once beside "
+                f"rogue_sharded.cc, got: {scatter_errors}"
             )
 
         # certified-scan: an approximate int8 scan in another store, and a

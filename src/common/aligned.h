@@ -6,13 +6,12 @@
 //    threads land on one 64-byte cache line, so every write by one core
 //    invalidates the other core's line and both pay a coherence round trip.
 //    The classic shape in this repo is a block of contended atomics declared
-//    back to back (admission counters next to stat counters in SeeSawServer,
-//    a completion flag next to its mutex in TaskHandle::State).
+//    back to back (admission counters next to stat counters in SeeSawServer).
 //
-//  - *Shared-line churn around a spinning reader*: a waiter polling an
-//    atomic (HelpUntil predicates) re-fetches the line on every probe; if
-//    unrelated writes keep dirtying that line, the poll loop degrades into a
-//    coherence storm even though the flag itself never changes.
+//  - *Shared-line churn around a spinning reader*: a thread polling an
+//    atomic re-fetches the line on every probe; if unrelated writes keep
+//    dirtying that line, the poll loop degrades into a coherence storm even
+//    though the flag itself never changes.
 //
 // The fix is the same for both: give each contended field its own cache
 // line via alignas. CacheAligned<T> packages that so call sites say what

@@ -10,14 +10,14 @@
 // call at a given shape, a scan performs zero scratch allocations
 // (tests/memory_audit_test.cc holds this as a regression gate).
 //
-// Why a pooled arena and not thread_local scratch: the pool's waiters are
-// caller-runs (ThreadPool::HelpUntil) — an OS thread blocked in one
-// TopKBatch's ParallelFor can pick up and execute a *second* TopKBatch as a
-// helped task on the same stack. A thread_local buffer would be re-bumped
-// by the nested call while the outer call's shard tasks (on other workers)
-// are still reading the outer quantized queries from it. The ScratchPool
-// instead leases one arena per concurrent *call* (RAII Lease), so nesting
-// just takes a second arena.
+// Why a pooled arena and not thread_local scratch: leases nest on one OS
+// thread. A pool waiter runs its own queued tasks, so the thread waiting in
+// a TopKBatch's ScatterTopK runs that call's shard parts on its own stack,
+// and a ShardedStore part runs a whole child TopKBatch. A thread_local
+// buffer would be re-bumped by the nested lease while the outer call's
+// shard tasks (on other workers too) still read the outer quantized
+// queries from it. The ScratchPool instead leases one arena per live call
+// or shard task (RAII Lease), so nesting just takes a second arena.
 //
 // Allocation lifetime: every span handed out by Alloc stays valid until the
 // owning arena is Reset (leases reset on release) — growth retires the old

@@ -1,29 +1,76 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/numa.h"
 
 namespace seesaw {
 
+namespace {
+
+// The tasks this thread has claimed and is running, innermost first: one
+// frame per claim, living on the claimer's stack. Only the self-wait check
+// reads it.
+struct ClaimFrame {
+  const void* state;
+  const ClaimFrame* outer;
+};
+thread_local const ClaimFrame* claimed_by_this_thread = nullptr;
+
+}  // namespace
+
 bool TaskHandle::done() const {
   SEESAW_CHECK(state_ != nullptr) << "done() on an empty TaskHandle";
-  return state_->done.value.load(std::memory_order_acquire);
+  return state_->claim.load(std::memory_order_acquire) == Claim::kDone;
+}
+
+bool TaskHandle::RunIfUnclaimed(State& state) {
+  Claim expected = Claim::kQueued;
+  if (!state.claim.compare_exchange_strong(expected, Claim::kRunning,
+                                           std::memory_order_acquire)) {
+    return false;
+  }
+  {
+    const ClaimFrame frame{&state, claimed_by_this_thread};
+    claimed_by_this_thread = &frame;
+    // Taken out so the task's captures die before completion is published.
+    std::function<void()> task = std::exchange(state.task, nullptr);
+    task();
+    claimed_by_this_thread = frame.outer;
+  }
+  // Publish completion under the state lock *and* notify under it: a waiter
+  // that read the claim as not done cannot park before we flip it (its
+  // check-then-park is atomic under state.mu), so the notify cannot be lost.
+  // The release store publishes the task's writes to the lock-free done()
+  // and Wait() fast paths.
+  MutexLock lock(state.mu);
+  state.claim.store(Claim::kDone, std::memory_order_release);
+  state.cv.NotifyAll();
+  return true;
 }
 
 void TaskHandle::Wait() {
   SEESAW_CHECK(state_ != nullptr) << "Wait() on an empty TaskHandle";
   State& state = *state_;
-  // Fast path that never touches the pool or the lock: a finished task's
-  // handle must stay waitable even after the pool is destroyed (pool
-  // destruction drains the queue, so an unfinished task implies a live
-  // pool). The acquire load pairs with the worker's release store, ordering
-  // this thread after the task's side effects.
-  if (state.done.value.load(std::memory_order_acquire)) return;
-  pool_->HelpUntil(state.mu, state.cv, [&state] {
-    return state.done.value.load(std::memory_order_acquire);
-  });
+  // The acquire load pairs with the claimer's release store, ordering this
+  // thread after the task's side effects.
+  if (state.claim.load(std::memory_order_acquire) == Claim::kDone) return;
+  if (RunIfUnclaimed(state)) return;
+  // Someone else holds the claim. If that is this very thread, further up
+  // its stack, parking would wait for a task that can only finish after
+  // this call returns.
+  for (const ClaimFrame* f = claimed_by_this_thread; f != nullptr;
+       f = f->outer) {
+    SEESAW_CHECK(f->state != &state)
+        << "TaskHandle::Wait() on a task this thread is running: the task "
+           "waits on itself (wait cycle)";
+  }
+  MutexLock lock(state.mu);
+  while (state.claim.load(std::memory_order_acquire) != Claim::kDone) {
+    state.cv.Wait(state.mu);
+  }
 }
 
 ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
@@ -76,10 +123,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   SubmitToQueue(std::move(task), worker_nodes_.size());
 }
 
-void ThreadPool::Submit(std::function<void()> task, size_t node_hint) {
-  SubmitToQueue(std::move(task), node_hint);
-}
-
 TaskHandle ThreadPool::SubmitWithResult(std::function<void()> task) {
   return SubmitWithResult(std::move(task), worker_nodes_.size());
 }
@@ -87,41 +130,11 @@ TaskHandle ThreadPool::SubmitWithResult(std::function<void()> task) {
 TaskHandle ThreadPool::SubmitWithResult(std::function<void()> task,
                                         size_t node_hint) {
   auto state = std::make_shared<TaskHandle::State>();
-  Submit(
-      [state, task = std::move(task)] {
-        task();
-        // Publish completion under the state lock *and* notify under it: a
-        // waiter that checked `done` false cannot park before we flip it
-        // (the check-then-park is atomic under state->mu inside HelpUntil),
-        // so the notify cannot be lost. The release store publishes the
-        // task's writes to lock-free done()/Wait() fast paths.
-        MutexLock lock(state->mu);
-        state->done.value.store(true, std::memory_order_release);
-        state->cv.NotifyAll();
-      },
-      node_hint);
-  return TaskHandle(std::move(state), this);
-}
-
-void ThreadPool::HelpUntil(Mutex& mu, CondVar& cv,
-                           const std::function<bool()>& done) {
-  // Caller-runs: while the waited-on work is outstanding, execute queued
-  // tasks (the waiter's own or anyone else's) on the calling thread. Park
-  // only once the queue is empty — at that point the outstanding work is
-  // executing on other threads, so waiting on the condition cannot deadlock
-  // even when the caller is itself a pool worker (nested ParallelFor /
-  // TaskHandle::Wait on the same pool).
-  for (;;) {
-    if (done()) return;
-    if (!TryRunOneTask()) {
-      MutexLock lock(mu);
-      // Re-check under the lock, then park: the completer flips the
-      // predicate and notifies while holding `mu`, so a waiter cannot slip
-      // between the check and the wait.
-      while (!done()) cv.Wait(mu);
-      return;
-    }
-  }
+  state->task = std::move(task);
+  // A waiter may have claimed the task by the time a worker pops this
+  // entry; the entry then does nothing.
+  SubmitToQueue([state] { TaskHandle::RunIfUnclaimed(*state); }, node_hint);
+  return TaskHandle(std::move(state));
 }
 
 bool ThreadPool::PopTaskLocked(size_t preferred_node,
@@ -156,20 +169,6 @@ bool ThreadPool::QueuesEmptyLocked() const {
   return true;
 }
 
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(mu_);
-    // Helping waiters take the locality they happen to have: prefer work
-    // hinted at the node this thread is currently on.
-    if (!PopTaskLocked(node_queues_.empty() ? 0 : numa::CurrentNode(), task)) {
-      return false;
-    }
-  }
-  task();
-  return true;
-}
-
 void ThreadPool::WorkerLoop(size_t worker_index) {
   const size_t my_node = worker_nodes_[worker_index];
   if (num_hint_nodes_ > 0) {
@@ -196,41 +195,16 @@ void ThreadPool::ParallelFor(size_t n,
   if (n == 0) return;
   size_t chunks = std::min(n, num_threads() * 4);
   size_t chunk_size = (n + chunks - 1) / chunks;
-  // Per-call completion latch rather than any pool-wide state: many sessions
-  // share one pool, and a caller must only block on its own chunks, not on
-  // whatever other sessions have queued. `remaining` is atomic for the same
-  // reason TaskHandle::State::done is: the HelpUntil predicate reads it
-  // lock-free, and workers decrement it without taking the latch lock; only
-  // the final decrement touches `mu`, to pair with the waiter's
-  // check-then-park (an empty critical section is enough — the waiter either
-  // sees 0 before parking or is parked and gets the notify).
-  //
-  // `remaining` owns its cache line for the same reason TaskHandle::State
-  // pads `done`: every finishing chunk decrements it while the waiter polls
-  // it between helped tasks — sharing a line with `mu` would make each
-  // worker's lock traffic evict the poller's copy.
-  struct Latch {
-    Mutex mu;
-    CondVar done;
-    CacheAligned<std::atomic<size_t>> remaining;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining.value.store((n + chunk_size - 1) / chunk_size,
-                               std::memory_order_relaxed);
+  std::vector<TaskHandle> handles;
+  handles.reserve((n + chunk_size - 1) / chunk_size);
   for (size_t begin = 0; begin < n; begin += chunk_size) {
     size_t end = std::min(begin + chunk_size, n);
-    Submit([&fn, latch, begin, end] {
-      fn(begin, end);
-      if (latch->remaining.value.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        MutexLock lock(latch->mu);
-        latch->done.NotifyAll();
-      }
-    });
+    handles.push_back(SubmitWithResult([&fn, begin, end] { fn(begin, end); }));
   }
-  HelpUntil(latch->mu, latch->done, [&latch] {
-    return latch->remaining.value.load(std::memory_order_acquire) == 0;
-  });
+  // Workers pop from the front, so the last chunks are the likeliest to be
+  // still queued: waiting back to front runs those on this thread and parks
+  // only on chunks a worker already holds.
+  for (auto it = handles.rbegin(); it != handles.rend(); ++it) it->Wait();
 }
 
 size_t ThreadPool::DefaultThreads() {

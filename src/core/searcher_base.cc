@@ -226,7 +226,8 @@ void SearcherBase::ArmPredictedFit() {
     task->fit = nullptr;
   });
   // Stage 2: the scan with the predicted query. Waiting on the fit handle
-  // from a pool task is safe (the waiter helps drain the queue).
+  // from a pool task is safe: the scan runs the fit itself if it is still
+  // queued, and never runs anything else.
   TaskHandle fit_handle = spec_->fit_handle;
   const EmbeddedDataset* embedded = embedded_;
   ThreadPool* pool = pool_;

@@ -247,8 +247,8 @@ class SearcherBase : public Searcher {
   /// (generation, query bits, n, and the live seen set all unchanged from
   /// the prediction); otherwise cancels it and returns nullopt, and the
   /// caller computes synchronously. A valid consume waits for the task
-  /// (helping the pool drain) and returns its result, which is bitwise
-  /// identical to what TopImages would return now.
+  /// (running it here if no worker has started it) and returns its result,
+  /// which is bitwise identical to what TopImages would return now.
   std::optional<std::vector<ScoredImage>> TakePrefetched(linalg::VecSpan query,
                                                          size_t n);
 

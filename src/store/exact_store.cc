@@ -117,9 +117,9 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   // All call-lifetime scratch comes from a leased arena: after the first
   // call at a given (queries, dim) shape the lease costs zero allocations
   // (tests/memory_audit_test.cc gates this). A *pooled* lease rather than
-  // thread_local scratch because HelpUntil waiters are caller-runs: this
-  // thread can execute a second TopKBatch as a helped task while shard
-  // tasks of this call still read `qdata` — see common/arena.h.
+  // thread_local scratch because leases nest on this thread: waiting in
+  // ScatterTopK, it runs this call's own queued shards (each leasing shard
+  // scratch) while other shards still read `qdata` — see common/arena.h.
   ScratchPool::Lease call_scratch = GlobalScanScratch().Acquire();
 
   // The query batch is quantized once, into one contiguous block matching

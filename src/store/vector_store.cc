@@ -32,19 +32,18 @@ std::vector<std::vector<SearchResult>> ScatterTopK(
   auto run = [&](size_t p) { parts[p] = scan_part(p); };
   if (num_parts == 1 || pool == nullptr || pool->num_threads() <= 1) {
     for (size_t p = 0; p < num_parts; ++p) run(p);
-  } else if (!part_nodes.empty() && pool->numa_affinity()) {
-    // Waiting helps drain the queue, so nested fan-out cannot deadlock.
+  } else {
     std::vector<TaskHandle> handles;
     handles.reserve(num_parts);
     for (size_t p = 0; p < num_parts; ++p) {
-      handles.push_back(pool->SubmitWithResult([&run, p] { run(p); },
-                                               part_nodes[p]));
+      auto task = [&run, p] { run(p); };
+      handles.push_back(part_nodes.empty()
+                            ? pool->SubmitWithResult(task)
+                            : pool->SubmitWithResult(task, part_nodes[p]));
     }
-    for (TaskHandle& handle : handles) handle.Wait();
-  } else {
-    pool->ParallelFor(num_parts, [&](size_t begin, size_t end) {
-      for (size_t p = begin; p < end; ++p) run(p);
-    });
+    // Back to front: this thread runs the parts still queued and parks only
+    // on parts a worker already scans.
+    for (auto it = handles.rbegin(); it != handles.rend(); ++it) it->Wait();
   }
 
   std::vector<std::vector<SearchResult>> out(num_queries);

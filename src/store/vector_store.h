@@ -200,12 +200,13 @@ using PartScan =
 /// The one scatter/merge of the store layer (ExactStore's row ranges,
 /// ShardedStore's children): runs every part, then keeps the best k hits
 /// per query under BetterResult. Parts run inline with one part or no
-/// usable pool, as node-hinted tasks (part p on node part_nodes[p]) when
-/// part_nodes is non-empty and the pool has numa_affinity, and through
-/// ParallelFor otherwise. The global top-k is unique, so merging exact
-/// per-part top-ks reproduces a single scan bit for bit. A part whose
-/// outer vector is not num_queries long contributes nothing. Always returns
-/// num_queries lists, best first.
+/// usable pool, and otherwise as one pool task each, hinted at node
+/// part_nodes[p] when part_nodes is non-empty (a pool without numa_affinity
+/// ignores the hint). The caller runs its parts that are still queued and
+/// parks only on parts a worker is scanning. The global top-k is unique, so
+/// merging exact per-part top-ks reproduces a single scan bit for bit. A
+/// part whose outer vector is not num_queries long contributes nothing.
+/// Always returns num_queries lists, best first.
 std::vector<std::vector<SearchResult>> ScatterTopK(
     size_t num_parts, size_t num_queries, size_t k, ThreadPool* pool,
     std::span<const size_t> part_nodes, const PartScan& scan_part);
@@ -235,7 +236,8 @@ class VectorStore {
   /// when the store (after exclusions) is smaller than k or the index
   /// exhausts its candidates. When `pool` is non-null, implementations may
   /// shard the work across it; all sessions of a service share one pool, so
-  /// they must only use pool->ParallelFor (safe under concurrent callers).
+  /// they must only wait on their own pool tasks (ScatterTopK, ParallelFor
+  /// and TaskHandle are safe under concurrent callers).
   /// `control` threads cooperative cancellation into the scan itself: every
   /// backend polls control.ShouldStop() at its checkpoints and returns early
   /// (with unspecified partial results, possibly an empty outer vector) once

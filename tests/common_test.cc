@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
@@ -249,8 +252,8 @@ TEST(ThreadPoolTest, CancellationTokenIsCooperative) {
 }
 
 TEST(ThreadPoolTest, WaitOnHandleFromInsidePoolTask) {
-  // A pool task waiting on another task's handle must help drain the queue
-  // instead of deadlocking, even when the pool has a single worker.
+  // A pool task waiting on another task's handle runs that task itself
+  // while it is queued, so even a single worker cannot deadlock.
   ThreadPool pool(1);
   std::atomic<int> inner_ran{0};
   TaskHandle outer = pool.SubmitWithResult([&pool, &inner_ran] {
@@ -280,8 +283,8 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // Regression: a task running on the pool calling ParallelFor on the same
-  // pool used to park every worker on a latch with the chunks still queued
-  // behind them. The caller-runs wait drains its own queue instead.
+  // pool used to park every worker with the chunks still queued behind
+  // them. Each waiter now runs its own queued chunks instead.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(4, [&pool, &inner_total](size_t begin, size_t end) {
@@ -295,8 +298,8 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 }
 
 TEST(ThreadPoolTest, DeeplyNestedParallelForOnSingleWorker) {
-  // Three levels of nesting on a one-worker pool: only caller-runs draining
-  // can make progress here.
+  // Three levels of nesting on a one-worker pool: only waiters running
+  // their own queued chunks can make progress here.
   ThreadPool pool(1);
   std::atomic<int> leaves{0};
   pool.ParallelFor(2, [&](size_t b0, size_t e0) {
@@ -338,30 +341,55 @@ TEST(ThreadPoolTest, ConcurrentNestedParallelForManySessions) {
   EXPECT_EQ(total.load(), kSessions * kRounds * 6 * 4);
 }
 
-TEST(ThreadPoolTest, TryRunOneTaskDrainsQueue) {
+TEST(ThreadPoolTest, WaiterNeverRunsTheTaskThatWaitsOnIt) {
+  // The server's deadlock, scripted: one worker, queue [scan, handler, fit].
+  // The speculative scan waits on its fit; the request handler waits on the
+  // scan. A waiter that ran any queued task would pick up the handler from
+  // inside the scan's wait, and the handler would then wait on the scan
+  // sitting beneath it on the same stack. A waiter that runs only its own
+  // task runs the fit and returns. The main thread only polls done(), so
+  // it never runs anything itself.
   ThreadPool pool(1);
-  // Park the single worker so later submissions stay queued; wait for the
-  // worker to actually hold the blocker before queueing more (otherwise the
-  // helping main thread could pop the blocker itself and spin on a flag it
-  // only sets later).
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  TaskHandle blocker = pool.SubmitWithResult([&started, &release] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
+  std::atomic<bool> gate{false};
+  TaskHandle blocker = pool.SubmitWithResult([&gate] {
+    while (!gate.load()) std::this_thread::yield();
   });
-  while (!started.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  // The caller drains the queued tasks itself.
-  int helped = 0;
-  while (pool.TryRunOneTask()) ++helped;
-  EXPECT_EQ(helped, 2);
-  EXPECT_EQ(ran.load(), 2);
-  release.store(true);
-  blocker.Wait();
-  EXPECT_FALSE(pool.TryRunOneTask());
+  TaskHandle scan, handler, fit;  // assigned before the gate opens
+  scan = pool.SubmitWithResult([&fit] { fit.Wait(); });
+  handler = pool.SubmitWithResult([&scan] { scan.Wait(); });
+  fit = pool.SubmitWithResult([] {});
+  gate.store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!(blocker.done() && scan.done() && handler.done() && fit.done())) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr,
+                   "WaiterNeverRunsTheTaskThatWaitsOnIt: deadlocked, the "
+                   "scan's wait ran the handler that waits on the scan\n");
+      std::_Exit(1);
+    }
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPoolDeathTest, WaitOnOwnTaskFailsInsteadOfHanging) {
+  // Whichever thread claims the task (the worker, or the main thread's
+  // Wait), the task's wait on its own handle is a cycle the check names.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        std::atomic<bool> ready{false};
+        TaskHandle self;
+        TaskHandle handle = pool.SubmitWithResult([&ready, &self] {
+          while (!ready.load()) std::this_thread::yield();
+          self.Wait();
+        });
+        self = handle;
+        ready.store(true);
+        handle.Wait();
+      },
+      "waits on itself");
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {

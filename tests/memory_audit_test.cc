@@ -114,9 +114,10 @@ TEST(ScratchPoolTest, LeasesReuseArenas) {
 }
 
 TEST(ScratchPoolTest, NestingTakesASecondArena) {
-  // The caller-runs scenario thread_local scratch would break: an outer
-  // lease still live while an inner scope (a helped task on the same OS
-  // thread) acquires. Each level must get its own arena.
+  // The nesting thread_local scratch would break: an outer lease still
+  // live while an inner scope on the same OS thread acquires (a scan's
+  // caller running one of its own shard parts, or a ShardedStore part
+  // running a child scan). Each level must get its own arena.
   ScratchPool pool;
   auto outer = pool.Acquire();
   auto data = outer->Alloc<uint32_t>(32);
@@ -189,7 +190,8 @@ TEST(ScanScratchTest, WarmTopKBatchDoesNotGrowThePool) {
 
   // Pooled-path gate (bounded): peak lease concurrency is one call-level
   // lease plus at most one shard lease per thread that can run shard tasks
-  // (workers + the helping caller). *When* that peak is reached is
+  // (workers + the waiting caller, which runs its own queued parts). *When*
+  // that peak is reached is
   // scheduling-dependent, so the pooled gate is the absolute bound — a
   // per-call regression scales with the 40 calls below and blows it.
   for (int it = 0; it < 20; ++it) {

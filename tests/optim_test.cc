@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "optim/gradient_descent.h"
 #include "optim/lbfgs.h"
 #include "optim/objective.h"
 
@@ -149,30 +148,6 @@ TEST_P(LbfgsQuadraticSweep, FindsAnalyticMinimum) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, LbfgsQuadraticSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 32, 64, 128));
-
-// ------------------------------------------------------- GradientDescent --
-
-TEST(GradientDescentTest, SolvesQuadratic) {
-  GradientDescent opt;
-  auto result = opt.Minimize(Quadratic({1, 2}, {5, -1}), {0, 0});
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->x[0], 5.0, 1e-4);
-  EXPECT_NEAR(result->x[1], -1.0, 1e-4);
-}
-
-TEST(GradientDescentTest, AgreesWithLbfgsOnConvexProblem) {
-  VectorD a = {3, 1, 7}, c = {0.5, -2, 1};
-  auto gd = GradientDescent().Minimize(Quadratic(a, c), {1, 1, 1});
-  auto lb = Lbfgs().Minimize(Quadratic(a, c), {1, 1, 1});
-  ASSERT_TRUE(gd.ok());
-  ASSERT_TRUE(lb.ok());
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(gd->x[i], lb->x[i], 1e-3);
-}
-
-TEST(GradientDescentTest, EmptyStartIsInvalidArgument) {
-  GradientDescent opt;
-  EXPECT_FALSE(opt.Minimize(Quadratic({}, {}), {}).ok());
-}
 
 // ------------------------------------------------------ NumericalGradient --
 

@@ -183,8 +183,8 @@ TEST(TopKBatchTest, TieBreakIsDeterministicAcrossSharding) {
 
 TEST(TopKBatchTest, ConcurrentBatchesShareOnePool) {
   // Several "sessions" issue batched lookups against one shared pool at
-  // once — the ParallelFor latch must only block each caller on its own
-  // work. Smoke for the concurrent-serving configuration.
+  // once — each caller must only wait on its own parts. Smoke for the
+  // concurrent-serving configuration.
   auto store = ExactStore::Create(RandomTable(400, 8, 23));
   ASSERT_TRUE(store.ok());
   auto queries = RandomQueries(4, 8, 29);
