@@ -9,9 +9,11 @@
 // measure the same-query speculation; the seesaw rows measure speculation
 // *through the refit* — the aligner runs during think time and the scan uses
 // the predicted post-refit query, so `hit_rate_post_refit` was identically 0
-// before refit speculation and should approach 1 with it. Every (backend,
-// variant) cell also asserts the prefetch-on relevance sequence is identical
-// to the prefetch-off one — speculation must never change results.
+// before refit speculation and should approach 1 with it. Refit() adopts the
+// speculative fit instead of fitting again (`refit_adopted`), so
+// `perceived_refit_ms` drops from a full fit to a handle wait. Every
+// (backend, variant) cell also asserts the prefetch-on relevance sequence is
+// identical to the prefetch-off one — speculation must never change results.
 //
 //   ./bench_prefetch_latency [--scale=0.3] [--dim=64] [--batch=8]
 //                            [--think_ms=20] [--threads=0] [--shards=4]
@@ -19,7 +21,8 @@
 //
 // With --csv, one
 //   backend,variant,prefetch,hit_rate,hit_rate_post_refit,refit_fits,
-//   refit_matches,perceived_nextbatch_ms,total_wait_ms
+//   refit_matches,refit_adopted,perceived_nextbatch_ms,perceived_refit_ms,
+//   total_wait_ms
 // row per cell goes to stdout (after a header) and the table is skipped.
 // With --json, each cell is one JSON object per line (same fields plus
 // think_ms); scripts/run_bench_suite.sh --json collects them into
@@ -76,7 +79,9 @@ struct CellResult {
   double hit_rate_post_refit = 0.0;  // consumed with a predicted query
   size_t refit_fits = 0;             // speculative aligner fits launched
   size_t refit_matches = 0;          // refits landing on the predicted bits
+  size_t refit_adopted = 0;          // refits installing the speculative fit
   double perceived_nextbatch_ms = 0.0;  // mean per round
+  double perceived_refit_ms = 0.0;      // mean per round
   double total_wait_ms = 0.0;           // mean perceived per task
   std::vector<std::vector<char>> relevance;  // per concept, parity key
 };
@@ -103,6 +108,7 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
   size_t hits_post_refit = 0;
   size_t rounds = 0;
   double nextbatch_seconds = 0;
+  double refit_seconds = 0;
   double perceived_seconds = 0;
   for (size_t concept_id : concepts) {
     core::SeeSawSearcher searcher(embedded, embedded.TextQuery(concept_id),
@@ -115,8 +121,10 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
     hits_post_refit += stats.hits_post_refit;
     cell.refit_fits += stats.refit_fits;
     cell.refit_matches += stats.refit_matches;
+    cell.refit_adopted += stats.refit_adopted;
     rounds += r.rounds;
     nextbatch_seconds += r.nextbatch_seconds;
+    refit_seconds += r.refit_seconds;
     perceived_seconds += r.perceived_seconds;
     cell.relevance.push_back(r.relevance);
   }
@@ -132,6 +140,8 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
   }
   cell.perceived_nextbatch_ms =
       rounds > 0 ? nextbatch_seconds * 1e3 / static_cast<double>(rounds) : 0;
+  cell.perceived_refit_ms =
+      rounds > 0 ? refit_seconds * 1e3 / static_cast<double>(rounds) : 0;
   cell.total_wait_ms =
       perceived_seconds * 1e3 / static_cast<double>(concepts.size());
   return cell;
@@ -167,16 +177,18 @@ int Run(int argc, char** argv) {
   if (args.csv) {
     std::printf(
         "backend,variant,prefetch,hit_rate,hit_rate_post_refit,refit_fits,"
-        "refit_matches,perceived_nextbatch_ms,total_wait_ms\n");
+        "refit_matches,refit_adopted,perceived_nextbatch_ms,"
+        "perceived_refit_ms,total_wait_ms\n");
   } else if (!args.json) {
     std::printf(
         "Prefetch latency: scale=%.2f dim=%zu batch=%zu think=%.1fms "
         "threads=%zu shards=%zu concepts=%zu\n",
         args.scale, args.dim, args.batch, args.think_ms, pool.num_threads(),
         args.shards, concepts.size());
-    std::printf("%-8s %-10s %-9s %9s %10s %22s %14s\n", "backend", "variant",
-                "prefetch", "hit_rate", "post_refit",
-                "perceived_nextbatch_ms", "total_wait_ms");
+    std::printf("%-8s %-10s %-9s %9s %10s %7s %22s %18s %14s\n", "backend",
+                "variant", "prefetch", "hit_rate", "post_refit", "adopted",
+                "perceived_nextbatch_ms", "perceived_refit_ms",
+                "total_wait_ms");
   }
 
   for (size_t b = 0; b < 4; ++b) {
@@ -200,27 +212,32 @@ int Run(int argc, char** argv) {
       for (int prefetch = 0; prefetch < 2; ++prefetch) {
         const CellResult& cell = prefetch ? on : off;
         if (args.csv) {
-          std::printf("%s,%s,%s,%.3f,%.3f,%zu,%zu,%.4f,%.3f\n",
+          std::printf("%s,%s,%s,%.3f,%.3f,%zu,%zu,%zu,%.4f,%.4f,%.3f\n",
                       backend_names[b], variant.name, prefetch ? "on" : "off",
                       cell.hit_rate, cell.hit_rate_post_refit,
-                      cell.refit_fits, cell.refit_matches,
-                      cell.perceived_nextbatch_ms, cell.total_wait_ms);
+                      cell.refit_fits, cell.refit_matches, cell.refit_adopted,
+                      cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+                      cell.total_wait_ms);
         } else if (args.json) {
           std::printf(
               "{\"backend\":\"%s\",\"variant\":\"%s\",\"prefetch\":\"%s\","
               "\"think_ms\":%.3f,\"hit_rate\":%.3f,"
               "\"hit_rate_post_refit\":%.3f,\"refit_fits\":%zu,"
-              "\"refit_matches\":%zu,\"perceived_nextbatch_ms\":%.4f,"
-              "\"total_wait_ms\":%.3f}\n",
+              "\"refit_matches\":%zu,\"refit_adopted\":%zu,"
+              "\"perceived_nextbatch_ms\":%.4f,"
+              "\"perceived_refit_ms\":%.4f,\"total_wait_ms\":%.3f}\n",
               backend_names[b], variant.name, prefetch ? "on" : "off",
               args.think_ms, cell.hit_rate, cell.hit_rate_post_refit,
-              cell.refit_fits, cell.refit_matches,
-              cell.perceived_nextbatch_ms, cell.total_wait_ms);
+              cell.refit_fits, cell.refit_matches, cell.refit_adopted,
+              cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+              cell.total_wait_ms);
         } else {
-          std::printf("%-8s %-10s %-9s %9.3f %10.3f %22.4f %14.3f\n",
-                      backend_names[b], variant.name, prefetch ? "on" : "off",
-                      cell.hit_rate, cell.hit_rate_post_refit,
-                      cell.perceived_nextbatch_ms, cell.total_wait_ms);
+          std::printf(
+              "%-8s %-10s %-9s %9.3f %10.3f %7zu %22.4f %18.4f %14.3f\n",
+              backend_names[b], variant.name, prefetch ? "on" : "off",
+              cell.hit_rate, cell.hit_rate_post_refit, cell.refit_adopted,
+              cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+              cell.total_wait_ms);
         }
       }
     }

@@ -41,17 +41,20 @@ void QueryAligner::set_options(const AlignerOptions& options) {
 }
 
 AlignerSnapshot QueryAligner::Snapshot() const {
-  return AlignerSnapshot{options_, q_text_,   loss_,
-                         warm_,    have_warm_, fit_generation_};
+  return AlignerSnapshot{options_, q_text_,    loss_,
+                         warm_,    have_warm_, fit_key()};
 }
 
-StatusOr<QueryAligner::FitOutcome> QueryAligner::Fit(
-    const AlignerOptions& options, const linalg::VectorF& q_text,
-    const AlignerLoss& loss, const optim::VectorD* warm) {
-  FitOutcome outcome;
+StatusOr<AlignerFit> QueryAligner::Fit(const AlignerOptions& options,
+                                       const linalg::VectorF& q_text,
+                                       const AlignerLoss& loss,
+                                       const optim::VectorD* warm,
+                                       AlignerFitKey key) {
+  AlignerFit fit;
+  fit.key = key;
   if (loss.num_examples() == 0) {
-    outcome.query = q_text;  // no information yet: q1 = q0
-    return outcome;
+    fit.query = q_text;  // no information yet: q1 = q0
+    return fit;
   }
   const size_t d = q_text.size();
   optim::VectorD x0;
@@ -65,47 +68,52 @@ StatusOr<QueryAligner::FitOutcome> QueryAligner::Fit(
   // path free of shared mutable state (the speculative fit runs it on pool
   // threads).
   optim::Lbfgs lbfgs(options.lbfgs);
-  SEESAW_ASSIGN_OR_RETURN(outcome.result,
+  SEESAW_ASSIGN_OR_RETURN(fit.result,
                           lbfgs.Minimize(loss.AsObjective(), std::move(x0)));
-  outcome.solution = outcome.result.x;
-  outcome.ran_solver = true;
+  fit.ran_solver = true;
 
   linalg::VectorF w(d);
   for (size_t j = 0; j < d; ++j) {
-    w[j] = static_cast<float>(outcome.result.x[j]);
+    w[j] = static_cast<float>(fit.result.x[j]);
   }
   float norm = linalg::NormalizeInPlace(linalg::MutVecSpan(w.data(), w.size()));
   if (norm <= 1e-12f) {
     // Degenerate all-zero solution (can only happen with pathological
     // hyper-parameters); fall back to the text query.
-    outcome.query = q_text;
-    return outcome;
+    fit.query = q_text;
+    return fit;
   }
-  outcome.query = std::move(w);
-  return outcome;
+  fit.query = std::move(w);
+  return fit;
 }
 
 StatusOr<linalg::VectorF> QueryAligner::Align() {
   SEESAW_ASSIGN_OR_RETURN(
-      FitOutcome outcome,
+      AlignerFit fit,
       Fit(options_, q_text_, loss_,
-          (options_.warm_start && have_warm_) ? &warm_ : nullptr));
-  if (!outcome.ran_solver) return std::move(outcome.query);
-  last_result_ = std::move(outcome.result);
-  warm_ = std::move(outcome.solution);
-  have_warm_ = true;
-  return std::move(outcome.query);
+          (options_.warm_start && have_warm_) ? &warm_ : nullptr, fit_key()));
+  return Adopt(std::move(fit));
 }
 
-StatusOr<linalg::VectorF> QueryAligner::AlignWith(
+StatusOr<AlignerFit> QueryAligner::FitSnapshot(
     const AlignerSnapshot& snapshot) {
-  SEESAW_ASSIGN_OR_RETURN(
-      FitOutcome outcome,
-      Fit(snapshot.options, snapshot.q_text, snapshot.loss,
-          (snapshot.options.warm_start && snapshot.have_warm)
-              ? &snapshot.warm
-              : nullptr));
-  return std::move(outcome.query);
+  return Fit(snapshot.options, snapshot.q_text, snapshot.loss,
+             (snapshot.options.warm_start && snapshot.have_warm)
+                 ? &snapshot.warm
+                 : nullptr,
+             snapshot.key);
+}
+
+linalg::VectorF QueryAligner::Adopt(AlignerFit fit) {
+  SEESAW_CHECK(fit.key == fit_key())
+      << "QueryAligner::Adopt: the fit was computed from another fit state";
+  if (fit.ran_solver) {
+    warm_ = fit.result.x;
+    have_warm_ = true;
+    ++warm_version_;
+    last_result_ = std::move(fit.result);
+  }
+  return std::move(fit.query);
 }
 
 }  // namespace seesaw::core

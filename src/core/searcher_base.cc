@@ -171,7 +171,7 @@ void SearcherBase::SchedulePrefetch(linalg::VecSpan query,
 
 void SearcherBase::SchedulePrefetchAfterRefit(
     const std::vector<ScoredImage>& batch, size_t n,
-    PredictedFitFactory fit_factory) {
+    const QueryAligner& aligner) {
   if (!BeginSchedule(batch)) return;
 
   size_t new_images = 0;
@@ -179,7 +179,7 @@ void SearcherBase::SchedulePrefetchAfterRefit(
   if (new_images == 0) return;  // nothing to wait for; cannot arm
   spec.stage = SpecStage::kAwaitLabels;
   spec.images_remaining = new_images;
-  spec.fit_factory = std::move(fit_factory);
+  spec.aligner = &aligner;
   // Nothing is submitted and no budget is held until the batch is fully
   // labeled (ArmPredictedFit); an abandoned prediction costs nothing.
   ++prefetch_stats_.scheduled;
@@ -207,23 +207,27 @@ void SearcherBase::ArmPredictedFit() {
   std::shared_ptr<SpecTask> task = spec_->task;
   task->budget = budget_;
   // Clone the fit state on this (the searcher's) thread, while it is
-  // consistent; the resulting closure owns the clone outright.
-  task->fit = spec_->fit_factory();
-  spec_->fit_factory = nullptr;
+  // consistent; the task owns the clone outright, so the session can keep
+  // accumulating feedback while the fit runs.
+  task->snapshot = spec_->aligner->Snapshot();
+  spec_->aligner = nullptr;
 
-  // Stage 1: the speculative fit. Publishes the predicted post-refit query
-  // into the task; readers order themselves after it via fit_handle.Wait().
+  // Stage 1: the speculative fit. Publishes its whole outcome — the
+  // predicted post-refit query and what Refit() adopts — into the task;
+  // readers order themselves after it via fit_handle.Wait().
   spec_->fit_handle = pool_->SubmitWithResult([task] {
     if (!task->cancel.cancelled()) {
-      if (std::optional<linalg::VectorF> q = task->fit()) {
-        task->query = *std::move(q);
+      StatusOr<AlignerFit> fit = QueryAligner::FitSnapshot(*task->snapshot);
+      if (fit.ok()) {
+        task->query = fit->query;
+        task->fit = *std::move(fit);
         task->fit_ok = true;
       }
     }
-    // Drop the closure (and the cloned aligner snapshot inside it — the
-    // whole accumulated-feedback table) as soon as the query is published,
-    // not when the speculation is eventually consumed or drained.
-    task->fit = nullptr;
+    // Drop the snapshot — the whole accumulated-feedback table — as soon as
+    // the outcome is published, not when the speculation is eventually
+    // consumed or drained.
+    task->snapshot.reset();
   });
   // Stage 2: the scan with the predicted query. Waiting on the fit handle
   // from a pool task is safe: the scan runs the fit itself if it is still
@@ -246,6 +250,21 @@ void SearcherBase::ArmPredictedFit() {
   // predicted one; the only bump still to come is the refit's own.
   SEESAW_CHECK_EQ(spec_->expected_generation, generation_);
   ++prefetch_stats_.refit_fits;
+}
+
+std::optional<AlignerFit> SearcherBase::TakeSpeculativeFit(
+    const AlignerFitKey& live_key) {
+  if (!spec_.has_value() || spec_->stage != SpecStage::kFitScan) {
+    return std::nullopt;
+  }
+  // Claims the fit if it is still queued and parks if a worker runs it;
+  // during real think time it has long finished. The wait orders this
+  // thread after the fit task's writes.
+  spec_->fit_handle.Wait();
+  std::optional<AlignerFit>& fit = spec_->task->fit;
+  if (!fit.has_value() || fit->key != live_key) return std::nullopt;
+  ++prefetch_stats_.refit_adopted;
+  return std::exchange(fit, std::nullopt);
 }
 
 void SearcherBase::CommitRefit(linalg::VecSpan refit_query, bool query_moved) {

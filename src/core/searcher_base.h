@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -16,6 +15,7 @@
 #include "common/aligned.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "core/aligner.h"
 #include "core/embedded_dataset.h"
 #include "core/searcher.h"
 #include "store/seen_set.h"
@@ -40,14 +40,17 @@ struct PatchLabel {
 ///    for the predicted batch to be fully labeled, then runs the *aligner*
 ///    speculatively on the feedback received (a cloned snapshot, so the live
 ///    session is never touched) and launches the scan with the predicted
-///    post-refit query. The real Refit() consumes the fit when its aligned
-///    vector is bitwise identical to the prediction.
+///    post-refit query. The real Refit() adopts that fit instead of fitting
+///    again whenever the snapshot is still the aligner's live fit state
+///    (same fit generation and warm start); otherwise it fits locally. The
+///    scan is consumed when the refit's query is bitwise the prediction.
 ///
 /// Any deviation — feedback outside the predicted batch, extra soft
 /// feedback, changed aligner options, a refit landing on different bits —
 /// cancels the speculation (mid-scan, via store::ScanControl) and NextBatch
-/// recomputes synchronously, so results are bitwise identical to the
-/// non-speculative path in all cases.
+/// recomputes synchronously. Results are bitwise identical to the
+/// non-speculative path in all cases: an adopted fit is the fit Align()
+/// would run, by the aligner's determinism contract (core/aligner.h).
 struct PrefetchPolicy {
   bool enabled = false;
   /// Maximum speculations in flight across all sessions sharing one
@@ -123,6 +126,8 @@ struct PrefetchStats {
   size_t throttled = 0;    ///< Speculations skipped: shared budget exhausted.
   // Through-the-refit accounting (zero for same-query speculations):
   size_t refit_fits = 0;       ///< Speculative aligner fits launched.
+  size_t refit_adopted = 0;    ///< Refits that installed the speculative fit
+                               ///< instead of running their own.
   size_t refit_matches = 0;    ///< Refits landing bitwise on the predicted
                                ///< query (the speculative scan survives).
   size_t refit_mismatches = 0; ///< Armed fits discarded at refit time (state
@@ -152,7 +157,8 @@ struct PrefetchStats {
 ///                                │ last predicted image labeled ("armed")
 ///                                ▼
 ///                     [kFitScan: fit(cloned aligner) → scan(predicted q)]
-///                                │ Refit(): aligned == predicted (bitwise)
+///                                │ Refit(): adopts the fit if its state is
+///                                │ live; aligned == predicted (bitwise)
 ///                                ▼
 ///                     [blessed: consumable by the next NextBatch]
 ///
@@ -194,17 +200,6 @@ class SearcherBase : public Searcher {
   const PrefetchStats& prefetch_stats() const { return prefetch_stats_; }
 
  protected:
-  /// A speculative aligner fit: produces the predicted post-refit query on a
-  /// pool thread, or nullopt when the fit fails (speculation aborted). Must
-  /// be self-contained — it closes over cloned state only, never the
-  /// searcher or its aligner.
-  using PredictedFit = std::function<std::optional<linalg::VectorF>()>;
-
-  /// Invoked on the searcher's thread at arm time — the moment the predicted
-  /// batch becomes fully labeled — to clone the session's fit state (e.g.
-  /// QueryAligner::Snapshot) into a self-contained PredictedFit.
-  using PredictedFitFactory = std::function<PredictedFit()>;
-
   /// Marks an image (and all of its patch vectors) as shown/labeled.
   /// Invalidates an in-flight speculation when the image deviates from the
   /// predicted batch; arms a pending refit speculation when it completes it.
@@ -226,13 +221,23 @@ class SearcherBase : public Searcher {
   /// Schedules a through-the-refit speculation: the same seen-set prediction
   /// as SchedulePrefetch, but the scan query is unknown until the aligner
   /// runs. The speculation idles (kAwaitLabels) until every image of `batch`
-  /// has been labeled; at that moment `fit_factory` clones the fit state on
-  /// the searcher's thread, the shared budget is charged, and a fit → scan
+  /// has been labeled; at that moment `aligner` is snapshotted on the
+  /// searcher's thread, the shared budget is charged, and a fit → scan
   /// pipeline launches on the pool. CommitRefit later decides consume vs
   /// cancel. No-op under the same conditions as SchedulePrefetch (the budget
-  /// is checked at arm time, when CPU is actually about to burn).
+  /// is checked at arm time, when CPU is actually about to burn). `aligner`
+  /// is the searcher's own and must stay alive while the speculation waits
+  /// for labels.
   void SchedulePrefetchAfterRefit(const std::vector<ScoredImage>& batch,
-                                  size_t n, PredictedFitFactory fit_factory);
+                                  size_t n, const QueryAligner& aligner);
+
+  /// Refit's adoption path. When an armed speculative fit was computed from
+  /// `live_key` (the aligner's fit state now), waits for it — claiming it if
+  /// it is still queued — and hands over its outcome for
+  /// QueryAligner::Adopt. Returns nullopt when there is no armed fit, it
+  /// failed or was cancelled, or the state moved since arm time; the caller
+  /// then fits locally. Call before CommitRefit, which still compares bits.
+  std::optional<AlignerFit> TakeSpeculativeFit(const AlignerFitKey& live_key);
 
   /// Subclasses call this from Refit() with the freshly aligned query after
   /// updating their live query vector (`query_moved` = the vector changed
@@ -281,11 +286,14 @@ class SearcherBase : public Searcher {
   /// read is ordered after that writer by a TaskHandle wait (whose
   /// completion is published under the handle's mutex with release/acquire
   /// semantics — see TaskHandle::State::done). Concretely:
-  ///  - query/n/seen_patches: written on the searcher's thread before the
-  ///    task is submitted (Submit's queue mutex orders the hand-off); for a
-  ///    kFitScan speculation, `query` is re-written by the fit task and only
-  ///    read after fit_handle.Wait().
-  ///  - fit_ok: written by the fit task, read after fit_handle.Wait().
+  ///  - query/n/seen_patches/snapshot: written on the searcher's thread
+  ///    before the task is submitted (Submit's queue mutex orders the
+  ///    hand-off); for a kFitScan speculation, `query` is re-written by the
+  ///    fit task and only read after fit_handle.Wait(), and `snapshot` is
+  ///    read and then reset by the fit task alone.
+  ///  - fit_ok/fit: written by the fit task, read after fit_handle.Wait().
+  ///    Only the searcher's thread reads `fit` (TakeSpeculativeFit moves it
+  ///    out); the scan task reads `query` and `fit_ok`, never `fit`.
   ///  - result: written by the scan task, read after handle.Wait().
   ///  - cancel / budget_released: atomics; safe from any thread at any time.
   /// The thread-safety analysis cannot check handle-ordered hand-offs (it
@@ -300,9 +308,12 @@ class SearcherBase : public Searcher {
     CancellationToken cancel;
     std::vector<ScoredImage> result;  // written by the scan task, read after
                                       // Wait
-    PredictedFit fit;      // set at arm time (kFitScan only)
+    std::optional<AlignerSnapshot> snapshot;  // set at arm time (kFitScan
+                                              // only), reset by the fit task
     bool fit_ok = false;   // written by the fit task before its handle
                            // completes; read after fit_handle.Wait()
+    std::optional<AlignerFit> fit;  // the fit task's whole outcome, until
+                                    // TakeSpeculativeFit moves it out
 
     /// Returns the budget slot exactly once: at task completion, or eagerly
     /// at cancellation so a cancelled-but-still-queued task doesn't hold a
@@ -337,7 +348,7 @@ class SearcherBase : public Searcher {
     bool query_known = false;
     /// Predicted-batch images not yet labeled (kAwaitLabels arming counter).
     size_t images_remaining = 0;
-    PredictedFitFactory fit_factory;  // kAwaitLabels only
+    const QueryAligner* aligner = nullptr;  // kAwaitLabels only
     TaskHandle fit_handle;  // kFitScan: the fit stage
     TaskHandle handle;      // the scan (kScan, or kFitScan after the fit)
   };
@@ -361,9 +372,9 @@ class SearcherBase : public Searcher {
   Speculation MakeSpeculation(const std::vector<ScoredImage>& batch, size_t n,
                               size_t* new_images);
 
-  /// kAwaitLabels → kFitScan: clones the fit state via the factory (on the
-  /// calling = searcher's thread), charges the budget, and launches the
-  /// fit → scan pipeline.
+  /// kAwaitLabels → kFitScan: snapshots the aligner (on the calling =
+  /// searcher's thread), charges the budget, and launches the fit → scan
+  /// pipeline.
   void ArmPredictedFit();
 
   /// Cancels the speculation's tasks (if any), returns its budget slot and

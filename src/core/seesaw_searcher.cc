@@ -37,19 +37,7 @@ std::vector<ScoredImage> SeeSawSearcher::NextBatch(size_t n) {
   if (!options_.update_query) {
     SchedulePrefetch(linalg::VecSpan(query_), batch, n);
   } else {
-    SchedulePrefetchAfterRefit(batch, n, [this] {
-      // Arm time, searcher thread: clone the fit state while it is
-      // consistent. The returned closure owns the snapshot outright and
-      // never touches the live aligner (AlignWith is const/static), so the
-      // session can keep accumulating feedback while the fit runs.
-      auto snapshot =
-          std::make_shared<AlignerSnapshot>(aligner_->Snapshot());
-      return PredictedFit([snapshot]() -> std::optional<linalg::VectorF> {
-        auto aligned = QueryAligner::AlignWith(*snapshot);
-        if (!aligned.ok()) return std::nullopt;
-        return *std::move(aligned);
-      });
-    });
+    SchedulePrefetchAfterRefit(batch, n, *aligner_);
   }
   return batch;
 }
@@ -76,13 +64,23 @@ Status SeeSawSearcher::Refit() {
       aligner_->fit_generation() == refitted_generation_) {
     return Status::OK();
   }
-  SEESAW_ASSIGN_OR_RETURN(linalg::VectorF aligned, aligner_->Align());
+  // Adopt the speculative fit when it was computed from exactly the live fit
+  // state: it is then bit for bit the fit Align() would run (determinism
+  // contract, core/aligner.h), so fitting again would only burn CPU.
+  linalg::VectorF aligned;
+  if (std::optional<AlignerFit> fit =
+          TakeSpeculativeFit(aligner_->fit_key())) {
+    aligned = aligner_->Adopt(*std::move(fit));
+  } else {
+    SEESAW_ASSIGN_OR_RETURN(aligned, aligner_->Align());
+  }
   const bool moved = aligned != query_;
   if (moved) query_ = std::move(aligned);
   // Reconcile the refit with any speculation: a same-query speculation
   // survives only an unmoved query; a speculative refit survives exactly
-  // when this refit landed bitwise on its predicted query (in which case the
-  // background scan is already computing the next batch).
+  // when this refit landed bitwise on its predicted query (always, after an
+  // adoption), in which case the background scan is already computing the
+  // next batch.
   CommitRefit(linalg::VecSpan(query_), moved);
   refitted_generation_ = aligner_->fit_generation();
   return Status::OK();

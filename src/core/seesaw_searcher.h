@@ -27,9 +27,10 @@ struct SeeSawOptions {
   /// pool; see PrefetchPolicy). Zero-shot variants speculate with the
   /// current query; query-updating variants speculate *through* the refit —
   /// once the shown batch is fully labeled, the aligner runs speculatively
-  /// on a cloned snapshot and the scan launches with the predicted
-  /// post-refit query. Results stay bitwise identical to the synchronous
-  /// path whether speculation hits or not.
+  /// on a cloned snapshot, the scan launches with the predicted post-refit
+  /// query, and Refit() adopts the speculative fit rather than fitting
+  /// again. Results stay bitwise identical to the synchronous path whether
+  /// speculation hits or not.
   PrefetchPolicy prefetch;
   /// Method name override for reports; empty = derived from flags.
   std::string label;
@@ -67,9 +68,11 @@ class SeeSawSearcher : public SearcherBase {
 
   /// Mutable aligner access for advanced drivers (soft feedback from a
   /// propagation front end, mid-session hyper-parameter changes). Any
-  /// mutation counts as new fit state: an armed refit speculation based on
-  /// the old state is discarded at the next Refit() (bitwise compare), never
-  /// consumed.
+  /// mutation counts as new fit state, including a direct Align(), which
+  /// moves the warm start: the next Refit() refuses to adopt an armed
+  /// speculative fit of the old state (QueryAligner::fit_key() differs),
+  /// fits locally, and discards the speculation unless its query matches
+  /// bitwise.
   QueryAligner& mutable_aligner() { return *aligner_; }
 
  private:

@@ -67,7 +67,9 @@ TaskResult RunSearchTask(core::Searcher& searcher,
     }
     call.Restart();
     SEESAW_CHECK(searcher.Refit().ok());
-    result.perceived_seconds += call.ElapsedSeconds();
+    const double refit = call.ElapsedSeconds();
+    result.refit_seconds += refit;
+    result.perceived_seconds += refit;
     ++result.rounds;
   }
 

@@ -55,6 +55,9 @@ struct TaskResult {
   /// Portion of perceived_seconds spent inside NextBatch — the lookup
   /// latency that think-time prefetch hides.
   double nextbatch_seconds = 0.0;
+  /// Portion of perceived_seconds spent inside Refit — the aligner fit, or
+  /// the wait for a speculative one that Refit adopts.
+  double refit_seconds = 0.0;
   /// Total simulated think time slept (inspected * think_seconds_per_image).
   double think_seconds = 0.0;
 };

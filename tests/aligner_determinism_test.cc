@@ -1,10 +1,11 @@
 // Aligner determinism: the same feedback sequence must yield
 // bitwise-identical Align() output — across repeated runs, across a fresh
-// clone (Snapshot + AlignWith), and under concurrent unrelated pool load.
-// This is the invariant the refit-speculation consume check rests on: a
-// speculative fit over a cloned snapshot predicts the real Refit() bit for
-// bit exactly when the state did not change in between. See the determinism
-// audits in core/aligner.h and optim/lbfgs.h.
+// clone (Snapshot + FitSnapshot), and under concurrent unrelated pool load.
+// This is the invariant the refit speculation rests on: a speculative fit
+// over a cloned snapshot is bit for bit the fit Align() would run while the
+// state did not change in between, so Refit() adopts it (QueryAligner::Adopt)
+// instead of fitting again. See the determinism audits in core/aligner.h and
+// optim/lbfgs.h.
 #include "core/aligner.h"
 
 #include <gtest/gtest.h>
@@ -57,6 +58,20 @@ void ExpectBitwiseEqual(const VectorF& a, const VectorF& b,
   }
 }
 
+/// Everything a later Align() reads besides the feedback: the warm start
+/// (exposed through Snapshot()) and the solver statistics.
+void ExpectSameFitState(const QueryAligner& a, const QueryAligner& b,
+                        const char* what) {
+  AlignerSnapshot sa = a.Snapshot();
+  AlignerSnapshot sb = b.Snapshot();
+  EXPECT_EQ(sa.have_warm, sb.have_warm) << what;
+  EXPECT_EQ(sa.warm, sb.warm) << what;  // bitwise (double ==)
+  EXPECT_EQ(a.last_result().iterations, b.last_result().iterations) << what;
+  EXPECT_EQ(a.last_result().function_evals, b.last_result().function_evals)
+      << what;
+  EXPECT_EQ(a.last_result().f, b.last_result().f) << what;
+}
+
 TEST(AlignerDeterminismTest, RepeatedRunsAreBitwiseIdentical) {
   // Two independent aligners fed the identical sequence must produce
   // bitwise-identical queries at every refit round — including with warm
@@ -83,52 +98,61 @@ TEST(AlignerDeterminismTest, RepeatedRunsAreBitwiseIdentical) {
   }
 }
 
-TEST(AlignerDeterminismTest, SnapshotAlignWithMatchesLiveAlign) {
-  // The speculative path: AlignWith over a fresh clone must predict the
-  // live Align() bitwise at every round — and, being const, must not
-  // perturb the live aligner's subsequent rounds.
+TEST(AlignerDeterminismTest, SnapshotFitMatchesLiveAlign) {
+  // The speculative path: a fit over a fresh clone must predict the live
+  // Align() bitwise at every round, and adopting it must leave the aligner
+  // exactly where Align() would: same warm start, same solver statistics.
+  // The adopting aligner only ever adopts, so each round after the first
+  // also checks that a round from an adopted state matches an aligner that
+  // never speculated.
   MatrixF table = RandomTable(40, kDim, 15);
   VectorF q0 = UnitQuery(16);
   AlignerOptions options;
-  QueryAligner live(options, q0, nullptr);
+  QueryAligner adopting(options, q0, nullptr);
   QueryAligner control(options, q0, nullptr);  // never snapshotted
   auto steps = MakeSequence(30, 17);
   for (size_t round = 0; round < 5; ++round) {
     for (size_t i = round * 6; i < (round + 1) * 6; ++i) {
-      live.AddFeedback(table.Row(steps[i].row), steps[i].positive);
+      adopting.AddFeedback(table.Row(steps[i].row), steps[i].positive);
       control.AddFeedback(table.Row(steps[i].row), steps[i].positive);
     }
-    AlignerSnapshot snapshot = live.Snapshot();
-    EXPECT_EQ(snapshot.fit_generation, live.fit_generation());
-    auto predicted = QueryAligner::AlignWith(snapshot);
+    AlignerSnapshot snapshot = adopting.Snapshot();
+    EXPECT_EQ(snapshot.key, adopting.fit_key());
+    auto predicted = QueryAligner::FitSnapshot(snapshot);
     // Run the speculative fit twice to cover fit-vs-fit reproducibility too.
-    auto predicted_again = QueryAligner::AlignWith(snapshot);
-    auto real = live.Align();
-    auto undisturbed = control.Align();
+    auto predicted_again = QueryAligner::FitSnapshot(snapshot);
+    auto real = control.Align();
     ASSERT_TRUE(predicted.ok());
     ASSERT_TRUE(predicted_again.ok());
     ASSERT_TRUE(real.ok());
-    ASSERT_TRUE(undisturbed.ok());
-    ExpectBitwiseEqual(*predicted, *real, "snapshot vs live");
-    ExpectBitwiseEqual(*predicted, *predicted_again, "snapshot repeat");
-    ExpectBitwiseEqual(*real, *undisturbed, "live vs undisturbed control");
+    EXPECT_EQ(predicted->key, snapshot.key);
+    ExpectBitwiseEqual(predicted->query, *real, "snapshot vs live");
+    ExpectBitwiseEqual(predicted->query, predicted_again->query,
+                       "snapshot repeat");
+    VectorF adopted = adopting.Adopt(*std::move(predicted));
+    ExpectBitwiseEqual(adopted, *real, "adopted vs live");
+    ExpectSameFitState(adopting, control, "adopted state vs live Align()");
+    EXPECT_EQ(adopting.fit_key(), control.fit_key());
   }
 }
 
-TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
-  // The refit speculation runs AlignWith on a pool worker while other
+TEST(AlignerDeterminismTest, SnapshotFitUnderConcurrentPoolLoadIsStable) {
+  // The refit speculation runs FitSnapshot on a pool worker while other
   // sessions hammer the same pool with store scans. Neither the unrelated
   // load nor running several speculative fits at once may change a single
-  // bit of the result.
+  // bit of the result — and the live aligner adopting one of them must end
+  // up exactly where its own Align() would have.
   MatrixF table = RandomTable(64, kDim, 25);
   VectorF q0 = UnitQuery(26);
   QueryAligner live(AlignerOptions{}, q0, nullptr);
+  QueryAligner control(AlignerOptions{}, q0, nullptr);  // never snapshotted
   auto steps = MakeSequence(20, 27);
   for (const FeedbackStep& s : steps) {
     live.AddFeedback(table.Row(s.row), s.positive);
+    control.AddFeedback(table.Row(s.row), s.positive);
   }
   auto snapshot = std::make_shared<AlignerSnapshot>(live.Snapshot());
-  auto reference = QueryAligner::AlignWith(*snapshot);
+  auto reference = QueryAligner::FitSnapshot(*snapshot);
   ASSERT_TRUE(reference.ok());
 
   // Unrelated load: batched scans over a store on the same pool.
@@ -146,11 +170,11 @@ TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
   });
 
   const int kFits = 8;
-  std::vector<VectorF> results(kFits);
+  std::vector<AlignerFit> results(kFits);
   std::vector<TaskHandle> handles;
   for (int i = 0; i < kFits; ++i) {
     handles.push_back(pool.SubmitWithResult([snapshot, &results, i] {
-      auto r = QueryAligner::AlignWith(*snapshot);
+      auto r = QueryAligner::FitSnapshot(*snapshot);
       if (r.ok()) results[i] = *std::move(r);
     }));
   }
@@ -158,18 +182,48 @@ TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
   stop.store(true);
   load.join();
   for (int i = 0; i < kFits; ++i) {
-    ExpectBitwiseEqual(results[i], *reference, "fit under pool load");
+    ExpectBitwiseEqual(results[i].query, reference->query,
+                       "fit under pool load");
+    EXPECT_EQ(results[i].result.x, reference->result.x);
+    EXPECT_EQ(results[i].result.iterations, reference->result.iterations);
   }
-  // And the live aligner, untouched by any of it, still agrees.
-  auto real = live.Align();
+  // Adopt one of the pool-computed fits; the aligner lands exactly where a
+  // never-speculating control's Align() does, and so does its next round.
+  VectorF adopted = live.Adopt(std::move(results[0]));
+  auto real = control.Align();
   ASSERT_TRUE(real.ok());
-  ExpectBitwiseEqual(*real, *reference, "live align after load");
+  ExpectBitwiseEqual(adopted, *real, "adopted fit vs live align");
+  ExpectSameFitState(live, control, "adopted state after load");
+  live.AddFeedback(table.Row(0), true);
+  control.AddFeedback(table.Row(0), true);
+  auto next_live = live.Align();
+  auto next_control = control.Align();
+  ASSERT_TRUE(next_live.ok());
+  ASSERT_TRUE(next_control.ok());
+  ExpectBitwiseEqual(*next_live, *next_control, "round after adoption");
+  ExpectSameFitState(live, control, "state after the next round");
+}
+
+TEST(AlignerDeterminismTest, AdoptRefusesAFitOfAnotherState) {
+  // Adopt() installs only a fit of the live state. Align() moves the warm
+  // start without bumping the generation, so the key must catch that too.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MatrixF table = RandomTable(8, kDim, 55);
+  QueryAligner aligner(AlignerOptions{}, UnitQuery(56), nullptr);
+  for (size_t i = 0; i < 8; ++i) aligner.AddFeedback(table.Row(i), i % 3 == 0);
+  auto stale = QueryAligner::FitSnapshot(aligner.Snapshot());
+  ASSERT_TRUE(stale.ok());
+  const uint64_t generation = aligner.fit_generation();
+  ASSERT_TRUE(aligner.Align().ok());
+  EXPECT_EQ(aligner.fit_generation(), generation);
+  EXPECT_NE(stale->key, aligner.fit_key());
+  EXPECT_DEATH(aligner.Adopt(*std::move(stale)), "another fit state");
 }
 
 TEST(AlignerDeterminismTest, FitGenerationTracksEveryStateChange) {
-  // The generation counter versions exactly the state Align() reads; every
-  // mutation class bumps it (the speculation stack keys arm-time clones off
-  // it in diagnostics).
+  // The generation counter versions the feedback, options and resets; every
+  // mutation class bumps it. Together with the warm start it forms the fit
+  // key that Refit() checks before adopting a speculative fit.
   MatrixF table = RandomTable(4, kDim, 35);
   QueryAligner aligner(AlignerOptions{}, UnitQuery(36), nullptr);
   uint64_t g0 = aligner.fit_generation();
@@ -188,10 +242,19 @@ TEST(AlignerDeterminismTest, FitGenerationTracksEveryStateChange) {
   aligner.Reset();
   EXPECT_GT(aligner.fit_generation(), g3);
   EXPECT_EQ(aligner.num_examples(), 0u);
-  // Align() itself is a read: it must not bump the generation.
+  // Align() must not bump the generation. With no feedback it installs
+  // nothing; with feedback it moves only the warm start, which the fit key
+  // still tracks.
   uint64_t g4 = aligner.fit_generation();
+  AlignerFitKey k4 = aligner.fit_key();
   ASSERT_TRUE(aligner.Align().ok());
   EXPECT_EQ(aligner.fit_generation(), g4);
+  EXPECT_EQ(aligner.fit_key(), k4);
+  aligner.AddFeedback(table.Row(2), true);
+  AlignerFitKey k5 = aligner.fit_key();
+  ASSERT_TRUE(aligner.Align().ok());
+  EXPECT_EQ(aligner.fit_key().fit_generation, k5.fit_generation);
+  EXPECT_NE(aligner.fit_key(), k5);
 }
 
 TEST(AlignerDeterminismTest, NoFeedbackAndDegenerateCasesStayDeterministic) {
@@ -199,11 +262,12 @@ TEST(AlignerDeterminismTest, NoFeedbackAndDegenerateCasesStayDeterministic) {
   VectorF q0 = UnitQuery(46);
   QueryAligner aligner(AlignerOptions{}, q0, nullptr);
   auto a = aligner.Align();
-  auto b = QueryAligner::AlignWith(aligner.Snapshot());
+  auto b = QueryAligner::FitSnapshot(aligner.Snapshot());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(b->ran_solver);
   ExpectBitwiseEqual(*a, q0, "no-feedback align");
-  ExpectBitwiseEqual(*b, q0, "no-feedback snapshot align");
+  ExpectBitwiseEqual(b->query, q0, "no-feedback snapshot fit");
 }
 
 }  // namespace

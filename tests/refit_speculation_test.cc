@@ -1,9 +1,11 @@
 // Refit speculation: during think time the aligner runs speculatively on
 // the feedback already received (a cloned snapshot) and the next-batch scan
-// launches with the predicted post-refit query; a real Refit() landing on
-// the bitwise-identical aligned vector consumes the speculation, and any
-// deviation — partial labels, feedback outside the batch, extra soft
-// feedback, changed aligner options — cancels it mid-scan.
+// launches with the predicted post-refit query; a real Refit() adopts that
+// fit while its snapshot is still the aligner's live fit state (and fits
+// locally otherwise), a refit landing on the bitwise-identical aligned
+// vector consumes the speculation, and any deviation — partial labels,
+// feedback outside the batch, extra soft feedback, changed aligner options,
+// a direct Align() — cancels it mid-scan.
 //
 // The contract under test: bitwise parity with the non-speculative
 // execution OR clean invalidation, in every interleaving, on every backend,
@@ -82,6 +84,17 @@ struct LockstepPair {
   SeeSawSearcher speculating;
 };
 
+/// The fit state a later round starts from must not depend on whether the
+/// refit adopted a speculative fit or ran its own.
+void ExpectSameFitState(const LockstepPair& pair) {
+  const QueryAligner& a = pair.speculating.aligner();
+  const QueryAligner& b = pair.baseline.aligner();
+  EXPECT_EQ(a.fit_key(), b.fit_key());
+  EXPECT_EQ(a.Snapshot().warm, b.Snapshot().warm);
+  EXPECT_EQ(a.last_result().iterations, b.last_result().iterations);
+  EXPECT_EQ(a.last_result().function_evals, b.last_result().function_evals);
+}
+
 constexpr StoreBackend kBackends[] = {StoreBackend::kExact,
                                       StoreBackend::kSharded,
                                       StoreBackend::kIvf};
@@ -103,6 +116,9 @@ TEST(RefitSpeculationTest, FullBatchRoundsConsumeOnEveryBackend) {
     EXPECT_GT(stats.refit_matches, 0u);
     EXPECT_GT(stats.hits_post_refit, 0u);
     EXPECT_EQ(stats.refit_mismatches, 0u);
+    // Nothing touches the aligner between arm and Refit(), so every refit
+    // adopts the speculative fit instead of running L-BFGS again.
+    EXPECT_EQ(stats.refit_adopted, stats.refit_matches);
     // Every round after the first is a consume opportunity and none should
     // be lost: the script never deviates.
     EXPECT_EQ(stats.hits_post_refit, static_cast<size_t>(rounds - 1));
@@ -333,8 +349,73 @@ TEST(RefitSpeculationDivergenceTest, ExhaustedBudgetThrottlesTheFitStage) {
   EXPECT_GT(stats.throttled, 0u);
   EXPECT_EQ(stats.refit_fits, 0u);
   EXPECT_EQ(stats.hits_post_refit, 0u);
+  // No fit ran in the background, so every refit fitted locally.
+  EXPECT_EQ(stats.refit_adopted, 0u);
+  ExpectSameFitState(pair);
   budget.Release();
   EXPECT_EQ(budget.in_flight(), 0u);
+}
+
+TEST(RefitSpeculationDivergenceTest, DirectAlignBetweenArmAndRefitRefusesAdoption) {
+  // A mutable_aligner().Align() after the fit armed moves the warm start but
+  // not the fit generation. The armed fit started from the old warm start,
+  // so Refit() must refuse to adopt it and fit locally — landing exactly
+  // where the baseline, which makes the same extra Align(), lands.
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
+  ThreadPool pool(3);
+  LockstepPair pair(f, 0, &pool, SpeculatingOptions(true));
+  ASSERT_TRUE(pair.DriveRound(6, {}, 0));
+  RoundScript no_refit;
+  no_refit.refit = false;
+  ASSERT_TRUE(pair.DriveRound(6, no_refit, 1));
+  const uint64_t generation = pair.speculating.aligner().fit_generation();
+  ASSERT_TRUE(pair.baseline.mutable_aligner().Align().ok());
+  ASSERT_TRUE(pair.speculating.mutable_aligner().Align().ok());
+  EXPECT_EQ(pair.speculating.aligner().fit_generation(), generation);
+  const size_t adopted_before = pair.speculating.prefetch_stats().refit_adopted;
+  ASSERT_TRUE(pair.baseline.Refit().ok());
+  ASSERT_TRUE(pair.speculating.Refit().ok());
+  EXPECT_EQ(pair.speculating.prefetch_stats().refit_adopted, adopted_before);
+  EXPECT_EQ(pair.speculating.current_query(), pair.baseline.current_query());
+  ExpectSameFitState(pair);
+  for (int round = 2; round < 4; ++round) {
+    ASSERT_TRUE(pair.DriveRound(6, {}, round));
+    ExpectSameFitState(pair);
+  }
+  const PrefetchStats& stats = pair.speculating.prefetch_stats();
+  // Rounds 0, 2 and 3 adopt; round 1's fit was refused (and its scan kept
+  // only if the local fit happened to land on the same bits).
+  EXPECT_EQ(stats.refit_fits, 4u);
+  EXPECT_EQ(stats.refit_adopted, 3u);
+  EXPECT_EQ(stats.refit_fits, stats.refit_matches + stats.refit_mismatches);
+}
+
+TEST(RefitSpeculationDivergenceTest, CancelledFitFallsBackToLocalFit) {
+  // The batch is fully labeled, so the fit arms; then feedback on an image
+  // outside the batch cancels the speculation before Refit(). Refit() has
+  // nothing to adopt and fits locally, in parity with the baseline.
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
+  ThreadPool pool(3);
+  LockstepPair pair(f, 0, &pool, SpeculatingOptions(true));
+  RoundScript no_refit;
+  no_refit.refit = false;
+  ASSERT_TRUE(pair.DriveRound(6, no_refit, 0));
+  ASSERT_EQ(pair.speculating.prefetch_stats().refit_fits, 1u);
+  uint32_t unseen = 0;
+  while (pair.baseline.IsSeen(unseen)) ++unseen;
+  ASSERT_FALSE(pair.speculating.IsSeen(unseen));
+  const ImageFeedback stray = pair.user.GroundTruthFeedback(unseen);
+  pair.baseline.AddFeedback(stray);
+  pair.speculating.AddFeedback(stray);
+  ASSERT_TRUE(pair.baseline.Refit().ok());
+  ASSERT_TRUE(pair.speculating.Refit().ok());
+  const PrefetchStats& stats = pair.speculating.prefetch_stats();
+  EXPECT_GT(stats.invalidated, 0u);
+  EXPECT_EQ(stats.refit_adopted, 0u);
+  EXPECT_EQ(pair.speculating.current_query(), pair.baseline.current_query());
+  ExpectSameFitState(pair);
+  ASSERT_TRUE(pair.DriveRound(6, {}, 1));
+  ExpectSameFitState(pair);
 }
 
 // ----------------------------------------------------- concurrency --
