@@ -7,9 +7,7 @@
 //
 // Every (kernel, op, dim, batch) cell is parity-checked bitwise against the
 // scalar reference before timing, so the bench doubles as a dispatch-path
-// correctness gate. A "legacy" row reproduces the pre-dispatch
-// autovectorized loop for an honest old-default comparison (approximate
-// parity only — it used a different accumulation order).
+// correctness gate.
 //
 // With --json, one JSON document goes to stdout:
 //   {"meta": {...}, "rows": [{"kernel": ..., "op": ..., "dim": ...,
@@ -77,33 +75,6 @@ struct SimdBenchArgs {
   }
 };
 
-/// The pre-dispatch default Dot (4-accumulator autovectorized loop), kept
-/// here as the historical baseline the SIMD layer replaced.
-float LegacyDot(linalg::VecSpan a, linalg::VecSpan b) {
-  float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
-  size_t n = a.size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  for (; i < n; ++i) s0 += a[i] * b[i];
-  return (s0 + s1) + (s2 + s3);
-}
-
-void LegacyScoreBlock(const float* rows, size_t num_rows, size_t dim,
-                      const linalg::VecSpan* queries, size_t num_queries,
-                      float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      out[r * num_queries + q] =
-          LegacyDot(linalg::VecSpan(rows + r * dim, dim), queries[q]);
-    }
-  }
-}
-
 linalg::MatrixF RandomTable(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);
   linalg::MatrixF table(n, d);
@@ -133,14 +104,13 @@ int Run(int argc, char** argv) {
 
   struct Impl {
     std::string name;
-    const linalg::KernelTable* table;  // nullptr = legacy baseline
+    const linalg::KernelTable* table;
   };
   // Scalar first so every later row can report its speedup against it.
   std::vector<Impl> impls = {{"scalar", &linalg::ScalarKernels()}};
   for (const std::string& name : linalg::SupportedKernels()) {
     if (name != "scalar") impls.push_back({name, linalg::FindKernels(name)});
   }
-  impls.push_back({"legacy", nullptr});
   const std::string dispatched = linalg::SupportedKernels().front();
 
   std::vector<Row> rows_out;
@@ -164,23 +134,16 @@ int Run(int argc, char** argv) {
       for (const Impl& impl : impls) {
         std::vector<float> out(args.rows * batch);
         auto score_all = [&] {
-          if (impl.table != nullptr) {
-            impl.table->score_block(table.data().data(), args.rows, dim,
-                                    queries.data(), batch, out.data());
-          } else {
-            LegacyScoreBlock(table.data().data(), args.rows, dim,
-                             queries.data(), batch, out.data());
-          }
+          impl.table->score_block(table.data().data(), args.rows, dim,
+                                  queries.data(), batch, out.data());
         };
         score_all();
-        if (impl.table != nullptr) {
-          // Bitwise parity against the scalar reference gates the timing.
-          for (size_t i = 0; i < ref.size(); ++i) {
-            SEESAW_CHECK_EQ(std::bit_cast<uint32_t>(ref[i]),
-                            std::bit_cast<uint32_t>(out[i]))
-                << impl.name << " diverged at cell " << i << " (dim=" << dim
-                << " batch=" << batch << ")";
-          }
+        // Bitwise parity against the scalar reference gates the timing.
+        for (size_t i = 0; i < ref.size(); ++i) {
+          SEESAW_CHECK_EQ(std::bit_cast<uint32_t>(ref[i]),
+                          std::bit_cast<uint32_t>(out[i]))
+              << impl.name << " diverged at cell " << i << " (dim=" << dim
+              << " batch=" << batch << ")";
         }
         std::vector<double> samples;
         for (int it = -args.warmup; it < args.iters; ++it) {
@@ -215,10 +178,7 @@ int Run(int argc, char** argv) {
         auto dot_all = [&] {
           float sink = 0;
           for (size_t r = 0; r < args.rows; ++r) {
-            float v = impl.table != nullptr
-                          ? impl.table->dot(table.Row(r), query)
-                          : LegacyDot(table.Row(r), query);
-            sink += v;
+            sink += impl.table->dot(table.Row(r), query);
           }
           return sink;
         };

@@ -1,13 +1,11 @@
-// One-at-a-time vs. batched lookup latency across every store backend.
+// Batched lookup latency across every store backend.
 //
 // The interactive loop (§2.2) is bounded by per-iteration lookup latency;
-// this bench measures what batching buys: TopKBatch streams each row block
+// this bench times TopKBatch, the one scan path: it streams each row block
 // through the cache once for all queries (ExactStore), scores all centroids
 // in one blocked pass (IvfFlatIndex), and fans independent traversals
-// across a pool (AnnoyIndex). The "scalar" columns time the same k and seen
-// set issued one TopK per query — and TopK is itself a batch of one through
-// TopKBatch with no pool, so scalar mode is a loop of batch-of-one calls
-// and at --batches=1 it measures the per-call cost of the one scan path.
+// across a pool (AnnoyIndex). --batches=1 measures the per-call cost of a
+// single query.
 //
 //   ./bench_topk_latency [--n=20000] [--dim=128] [--k=100] [--warmup=1]
 //                        [--iters=5] [--threads=0] [--seen=0.1]
@@ -24,14 +22,13 @@
 // min_rows_per_shard floor (--min-shard-rows, default 4096): small tables
 // fall back to fewer shards, because below a few thousand rows per shard
 // the fixed per-shard costs make sharding a slowdown — rows record both the
-// requested and the effective count. Timing rows report the historical
-// means plus p50/p95/p99 over the timed iterations (tail latency is what
-// the interactive loop actually exposes to the user).
+// requested and the effective count. Timing rows report the mean plus
+// p50/p95/p99 over the timed iterations (tail latency is what the
+// interactive loop actually exposes to the user).
 //
 // With --csv, one
-//   backend,shards,requested_shards,batch_size,scalar_ms,batched_ms,
-//   speedup,batched_qps,scalar_p50_ms,batched_p50_ms,batched_p95_ms,
-//   batched_p99_ms
+//   backend,shards,requested_shards,batch_size,batched_ms,batched_qps,
+//   batched_p50_ms,batched_p95_ms,batched_p99_ms
 // row per cell goes to stdout (after a header; shards is 0 for the
 // unsharded backends) and the table is skipped. With --json, each cell is
 // one JSON object per line (no header), which
@@ -145,23 +142,11 @@ bool SameResults(const std::vector<store::SearchResult>& a,
   return true;
 }
 
-struct Cell {
-  // Historical mean fields (continuity with older committed baselines).
-  double scalar_ms = 0;
-  double batched_ms = 0;
-  // Per-iteration latency distributions.
-  LatencyStats scalar;
-  LatencyStats batched;
-  double Speedup() const {
-    return batched_ms > 0 ? scalar_ms / batched_ms : 0.0;
-  }
-};
-
-Cell MeasureBackend(const store::VectorStore& store,
-                    const store::VectorStore& reference,
-                    const std::vector<linalg::VectorF>& queries,
-                    const store::SeenSet& seen, const LatencyArgs& args,
-                    ThreadPool* pool) {
+LatencyStats MeasureBackend(const store::VectorStore& store,
+                            const store::VectorStore& reference,
+                            const std::vector<linalg::VectorF>& queries,
+                            const store::SeenSet& seen,
+                            const LatencyArgs& args, ThreadPool* pool) {
   std::vector<linalg::VecSpan> spans(queries.begin(), queries.end());
   auto queries_span = std::span<const linalg::VecSpan>(spans);
 
@@ -176,28 +161,15 @@ Cell MeasureBackend(const store::VectorStore& store,
   // Keep the optimizer honest without asserting non-empty results: a fully
   // seen store (--seen=1.0) legitimately returns nothing.
   volatile size_t sink = 0;
-  std::vector<double> scalar_samples, batched_samples;
-  for (int it = -args.warmup; it < args.iters; ++it) {
-    Stopwatch sw;
-    for (linalg::VecSpan q : spans) {
-      auto hits = store.TopK(q, args.k, seen);
-      sink = sink + hits.size();
-    }
-    if (it >= 0) scalar_samples.push_back(sw.ElapsedSeconds() * 1e3);
-  }
+  std::vector<double> samples;
   for (int it = -args.warmup; it < args.iters; ++it) {
     Stopwatch sw;
     auto hits = store.TopKBatch(queries_span, args.k, seen, pool);
     SEESAW_CHECK_EQ(hits.size(), spans.size());
     sink = sink + hits.front().size();
-    if (it >= 0) batched_samples.push_back(sw.ElapsedSeconds() * 1e3);
+    if (it >= 0) samples.push_back(sw.ElapsedSeconds() * 1e3);
   }
-  Cell cell;
-  cell.scalar = SummarizeLatencies(std::move(scalar_samples));
-  cell.batched = SummarizeLatencies(std::move(batched_samples));
-  cell.scalar_ms = cell.scalar.mean_ms;
-  cell.batched_ms = cell.batched.mean_ms;
-  return cell;
+  return SummarizeLatencies(std::move(samples));
 }
 
 int Run(int argc, char** argv) {
@@ -266,9 +238,8 @@ int Run(int argc, char** argv) {
   }
 
   if (args.csv) {
-    std::printf("backend,shards,requested_shards,batch_size,scalar_ms,"
-                "batched_ms,speedup,batched_qps,scalar_p50_ms,"
-                "batched_p50_ms,batched_p95_ms,batched_p99_ms\n");
+    std::printf("backend,shards,requested_shards,batch_size,batched_ms,"
+                "batched_qps,batched_p50_ms,batched_p95_ms,batched_p99_ms\n");
   } else if (args.json) {
     // One object per line; the suite script wraps them into a document.
   } else {
@@ -276,47 +247,37 @@ int Run(int argc, char** argv) {
                 "(ms per batch over %d iters)\n",
                 args.n, args.dim, args.k, args.seen_fraction,
                 pool.num_threads(), args.iters);
-    std::printf("%-8s %6s %6s %12s %12s %9s %12s %10s %10s %10s\n", "backend",
-                "shards", "batch", "scalar_ms", "batched_ms", "speedup",
-                "batched_qps", "b_p50", "b_p95", "b_p99");
+    std::printf("%-8s %6s %6s %12s %12s %10s %10s %10s\n", "backend",
+                "shards", "batch", "batched_ms", "batched_qps", "b_p50",
+                "b_p95", "b_p99");
   }
 
   for (const Backend& backend : backends) {
     for (size_t batch : args.batches) {
       auto queries = make_queries(batch);
-      Cell cell = MeasureBackend(*backend.store, *backend.reference, queries,
-                                 seen, args, &pool);
-      double qps = cell.batched_ms > 0
-                       ? static_cast<double>(batch) / (cell.batched_ms / 1e3)
+      LatencyStats batched = MeasureBackend(
+          *backend.store, *backend.reference, queries, seen, args, &pool);
+      double qps = batched.mean_ms > 0
+                       ? static_cast<double>(batch) / (batched.mean_ms / 1e3)
                        : 0.0;
       if (args.csv) {
-        std::printf("%s,%zu,%zu,%zu,%.4f,%.4f,%.3f,%.1f,%.4f,%.4f,%.4f,"
-                    "%.4f\n",
+        std::printf("%s,%zu,%zu,%zu,%.4f,%.1f,%.4f,%.4f,%.4f\n",
                     backend.name, backend.shards, backend.requested_shards,
-                    batch, cell.scalar_ms, cell.batched_ms, cell.Speedup(),
-                    qps, cell.scalar.p50_ms, cell.batched.p50_ms,
-                    cell.batched.p95_ms, cell.batched.p99_ms);
+                    batch, batched.mean_ms, qps, batched.p50_ms,
+                    batched.p95_ms, batched.p99_ms);
       } else if (args.json) {
         std::printf("{\"backend\":\"%s\",\"n\":%zu,\"dim\":%zu,"
                     "\"k\":%zu,\"shards\":%zu,\"requested_shards\":%zu,"
-                    "\"batch\":%zu,"
-                    "\"scalar_ms\":%.4f,\"batched_ms\":%.4f,"
-                    "\"speedup\":%.3f,\"batched_qps\":%.1f,"
-                    "\"scalar_p50_ms\":%.4f,\"scalar_p95_ms\":%.4f,"
-                    "\"scalar_p99_ms\":%.4f,\"batched_p50_ms\":%.4f,"
+                    "\"batch\":%zu,\"batched_ms\":%.4f,"
+                    "\"batched_qps\":%.1f,\"batched_p50_ms\":%.4f,"
                     "\"batched_p95_ms\":%.4f,\"batched_p99_ms\":%.4f}\n",
                     backend.name, args.n, args.dim, args.k, backend.shards,
-                    backend.requested_shards, batch, cell.scalar_ms,
-                    cell.batched_ms, cell.Speedup(), qps, cell.scalar.p50_ms,
-                    cell.scalar.p95_ms, cell.scalar.p99_ms,
-                    cell.batched.p50_ms, cell.batched.p95_ms,
-                    cell.batched.p99_ms);
+                    backend.requested_shards, batch, batched.mean_ms, qps,
+                    batched.p50_ms, batched.p95_ms, batched.p99_ms);
       } else {
-        std::printf("%-8s %6zu %6zu %12.4f %12.4f %8.2fx %12.1f %10.4f "
-                    "%10.4f %10.4f\n",
-                    backend.name, backend.shards, batch, cell.scalar_ms,
-                    cell.batched_ms, cell.Speedup(), qps, cell.batched.p50_ms,
-                    cell.batched.p95_ms, cell.batched.p99_ms);
+        std::printf("%-8s %6zu %6zu %12.4f %12.1f %10.4f %10.4f %10.4f\n",
+                    backend.name, backend.shards, batch, batched.mean_ms, qps,
+                    batched.p50_ms, batched.p95_ms, batched.p99_ms);
       }
     }
   }

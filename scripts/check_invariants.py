@@ -81,11 +81,14 @@ Rules
                     monotone stat counters). Wrapped/alignas'd atomics don't
                     count as raw; the exemption token is per-type.
   bench-json        Committed BENCH_*.json baselines must parse, carry
-                    non-empty "rows", and (for the latency benches
-                    BENCH_scale.json / BENCH_topk.json / BENCH_serving.json)
-                    every row must carry p50/p95/p99 latency keys — the
-                    percentile contract the scale work (PR 6) established for
-                    anything claiming a latency number.
+                    non-empty "rows", name the commit and host they were
+                    measured on (meta.commit.sha, meta.host.cpu — stamped by
+                    scripts/stamp_bench_meta.py), and (for the latency
+                    benches BENCH_scale.json / BENCH_topk.json /
+                    BENCH_serving.json) every row must carry p50/p95/p99
+                    latency keys — the percentile contract the scale work
+                    (PR 6) established for anything claiming a latency
+                    number.
 
 Self-test: --self-test seeds one violation per rule into a scratch tree and
 asserts the rule catches it (and that a clean miniature tree passes), so the
@@ -545,9 +548,9 @@ def check_atomic_layout(root: Path) -> list[str]:
 
 
 # ----------------------------------------------------------------- bench-json
-# Latency benches must commit percentiles, not just means (PR 6's contract).
-# Keyed by filename; other BENCH files need only parse and carry rows. Every
-# row of a latency bench needs p50/p95/p99.
+# Every baseline names its commit and host. Latency benches must commit
+# percentiles, not just means (PR 6's contract): keyed by filename, every row
+# of a latency bench needs p50/p95/p99.
 _PERCENTILE_FILES = {
     "BENCH_scale.json": ("p50_ms", "p95_ms", "p99_ms"),
     "BENCH_topk.json": ("p50_ms", "p95_ms", "p99_ms"),
@@ -568,6 +571,17 @@ def check_bench_json(root: Path) -> list[str]:
         if not isinstance(rows, list) or not rows:
             errors.append(f"{rel}:1: [bench-json] missing or empty 'rows'")
             continue
+        meta = doc.get("meta")
+        meta = meta if isinstance(meta, dict) else {}
+        commit = meta.get("commit")
+        host = meta.get("host")
+        if not (isinstance(commit, dict) and commit.get("sha")
+                and isinstance(host, dict) and host.get("cpu")):
+            errors.append(
+                f"{rel}:1: [bench-json] no meta.commit.sha / meta.host.cpu — "
+                "a baseline must name the commit and host it was measured "
+                "on (scripts/stamp_bench_meta.py)"
+            )
         suffixes = _PERCENTILE_FILES.get(path.name)
         if suffixes is None:
             continue
@@ -721,10 +735,12 @@ def self_test() -> int:
             "  size_t count_ = 0;\n"
             "};\n",
         )
+        provenance = {"host": {"cpu": "test cpu", "nproc": 1},
+                      "commit": {"sha": "0" * 40, "dirty": 0}}
         _write(
             root / "BENCH_scale.json",
             json.dumps(
-                {"bench": "scale", "rows": [
+                {"bench": "scale", "meta": provenance, "rows": [
                     {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}]}
             ),
         )
@@ -935,16 +951,25 @@ def self_test() -> int:
                 f"clean), got: {layout_errors}"
             )
 
-        # bench-json: a latency baseline without percentiles, junk JSON, and
-        # a serving baseline that only committed means.
+        # bench-json: a latency baseline without percentiles, junk JSON, a
+        # serving baseline that only committed means, and a baseline that
+        # names its host but not its commit.
         _write(
             root / "BENCH_topk.json",
-            json.dumps({"bench": "topk_latency", "rows": [{"mean_ms": 1.0}]}),
+            json.dumps({"bench": "topk_latency", "meta": provenance,
+                        "rows": [{"mean_ms": 1.0}]}),
         )
         _write(root / "BENCH_broken.json", "{not json")
         _write(
             root / "BENCH_serving.json",
-            json.dumps({"bench": "serving", "rows": [{"mean_ms": 2.0}]}),
+            json.dumps({"bench": "serving", "meta": provenance,
+                        "rows": [{"mean_ms": 2.0}]}),
+        )
+        _write(
+            root / "BENCH_simd.json",
+            json.dumps({"bench": "simd_kernels",
+                        "meta": {"host": provenance["host"]},
+                        "rows": [{"ms": 1.0}]}),
         )
         bench_errors = check_bench_json(root)
         expect("bench-json", bench_errors, "[bench-json]", True)
@@ -952,6 +977,15 @@ def self_test() -> int:
             failures.append(
                 "self-test 'bench-json': BENCH_serving.json without "
                 f"percentiles not caught: {bench_errors}"
+            )
+        provenance_errors = [e for e in bench_errors
+                             if "meta.commit.sha" in e]
+        if (len(provenance_errors) != 1
+                or "BENCH_simd.json" not in provenance_errors[0]):
+            failures.append(
+                "self-test 'bench-json': expected exactly the seeded "
+                "BENCH_simd.json without meta.commit.sha, got: "
+                f"{provenance_errors}"
             )
 
     if failures:

@@ -13,7 +13,9 @@
 #            the surrounding code is host-tuned.
 # --tsan     additionally builds CMAKE_BUILD_TYPE=Tsan in build-tsan and runs
 #            the suites labeled `concurrency` (see SEESAW_CONCURRENCY_TESTS
-#            in CMakeLists.txt) under ThreadSanitizer.
+#            in CMakeLists.txt) under ThreadSanitizer, then repeats the two
+#            speculation suites (prefetch_test, refit_speculation_test) up
+#            to 20 times, stopping at the first failure.
 # --asan     additionally builds CMAKE_BUILD_TYPE=Asan (AddressSanitizer +
 #            UBSan) in build-asan and runs the full suite — remainder-lane
 #            intrinsics bugs are exactly what this leg catches.
@@ -76,6 +78,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
         -DSEESAW_BUILD_BENCH=OFF -DSEESAW_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
   (cd build-tsan && ctest --output-on-failure -L concurrency -j)
+  # The speculation suites race the searcher against its pool tasks; one
+  # clean pass proves little, so repeat them.
+  (cd build-tsan &&
+   ctest --output-on-failure --repeat until-fail:20 \
+         -R '^(prefetch_test|refit_speculation_test)$')
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

@@ -12,6 +12,10 @@
 #                                [--batches 1,4,8,16] [--shards 1,2,4,8]
 #                                [--out results.csv] [--json] [--out-dir DIR]
 #
+# The CSV columns are bench_topk_latency's (batched latency mean and
+# p50/p95/p99 plus qps per backend, shard count and batch size) behind a
+# leading n column.
+#
 # --json writes BENCH_simd.json (bench_simd_kernels: scalar vs dispatched
 # kernel throughput across dims x batches), BENCH_topk.json
 # (bench_topk_latency rows across --sizes, including one "sharded" row per
@@ -23,7 +27,8 @@
 # at SERVING_SESSIONS concurrent think-time sessions) and BENCH_scale.json
 # (via run_scale_suite.sh at SCALE_SIZES, default 1M: certified-scan
 # latency percentiles at scale) into --out-dir (default: repo root) instead
-# of emitting CSV.
+# of emitting CSV. Every file's meta records the host and the commit
+# (scripts/stamp_bench_meta.py).
 set -euo pipefail
 
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -140,6 +145,8 @@ emit() {
     done
 }
 
+stamp() { python3 "$SCRIPT_DIR/stamp_bench_meta.py" "$1"; }
+
 emit_json() {
     [[ -x "$BENCH_SIMD" ]] || build_target bench_simd_kernels
 
@@ -148,6 +155,7 @@ emit_json() {
 
     echo "== bench_simd_kernels ==" >&2
     "$BENCH_SIMD" --warmup="$WARMUP" --iters="$ITERS" --json > "$simd_out"
+    stamp "$simd_out"
     echo "kernel JSON written to $simd_out" >&2
 
     local rows=""
@@ -174,6 +182,7 @@ emit_json() {
     printf '{"bench":"topk_latency","meta":{"dim":%s,"k":%s,"warmup":%s,"iters":%s,"threads":%s,"batches":"%s","shards":"%s"},"rows":[%s]}\n' \
         "$DIM" "$K" "$WARMUP" "$ITERS" "$THREADS" "$BATCHES" "$SHARDS" "$rows" \
         > "$topk_out"
+    stamp "$topk_out"
     echo "topk JSON written to $topk_out" >&2
 
     [[ -x "$BENCH_PREFETCH" ]] || build_target bench_prefetch_latency
@@ -194,6 +203,7 @@ emit_json() {
         "$PREFETCH_SCALE" "$PREFETCH_DIM" "$PREFETCH_BATCH" \
         "$PREFETCH_THINK_MS" "$THREADS" "$prows" \
         > "$prefetch_out"
+    stamp "$prefetch_out"
     echo "prefetch JSON written to $prefetch_out" >&2
 
     # Serving baseline (BENCH_serving.json): bench_serving emits the whole
@@ -206,6 +216,7 @@ emit_json() {
     "$BENCH_SERVING" --json --sessions="$SERVING_SESSIONS" \
                      --rounds="$SERVING_ROUNDS" \
                      --think_ms="$SERVING_THINK_MS" > "$serving_out"
+    stamp "$serving_out"
     echo "serving JSON written to $serving_out" >&2
 
     # Scale baseline (BENCH_scale.json) delegates to run_scale_suite.sh.

@@ -3,8 +3,8 @@
 # --shards with p50/p95/p99 latencies of the store's one scan (the certified
 # int8 scan), wrapped into a machine-readable BENCH_scale.json baseline that
 # future PRs can diff against. `meta` records the host (CPU model, nproc)
-# and the commit the numbers came from; each scan row names the dispatched
-# kernel.
+# and the commit the numbers came from (scripts/stamp_bench_meta.py); each
+# scan row names the dispatched kernel.
 #
 # The bench binary itself enforces the contracts at full scale before any
 # timing is reported: every scan must be bitwise equal to the bench's own
@@ -107,13 +107,10 @@ for size in "${size_tokens[@]}"; do
     done < "$tmp"
 done
 
-cpu="$(awk -F': ' '/^model name/{print $2; exit}' /proc/cpuinfo 2>/dev/null || true)"
-sha="$(git -C "$REPO_ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
-dirty="$(git -C "$REPO_ROOT" status --porcelain --untracked-files=no 2>/dev/null | grep -q . && echo 1 || echo 0)"
-printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"shards":"%s","min_shard_rows":%s,"host":{"cpu":"%s","nproc":%s},"commit":{"sha":"%s","dirty":%s}},"rows":[%s]}\n' \
+printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"shards":"%s","min_shard_rows":%s},"rows":[%s]}\n' \
     "$SIZES" "$DIM" "$K" "$BATCH" "$WARMUP" "$ITERS" "$THREADS" "$SHARDS" \
-    "$MIN_SHARD_ROWS" "${cpu//\"/}" "$(nproc)" "$sha" "$dirty" \
-    "$rows" > "$OUT"
+    "$MIN_SHARD_ROWS" "$rows" > "$OUT"
+python3 "$SCRIPT_DIR/stamp_bench_meta.py" "$OUT"
 echo "scale JSON written to $OUT" >&2
 
 if [[ "$GATE" == 1 ]]; then

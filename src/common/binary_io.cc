@@ -48,10 +48,6 @@ Status BinaryWriter::WriteFloats(const float* data, size_t count) {
   return WriteRaw(data, count * sizeof(float));
 }
 
-Status BinaryWriter::WriteU32s(const uint32_t* data, size_t count) {
-  return WriteRaw(data, count * sizeof(uint32_t));
-}
-
 Status BinaryWriter::Close() {
   if (file_ == nullptr) return Status::OK();
   int rc = std::fclose(file_);
@@ -127,10 +123,6 @@ StatusOr<std::string> BinaryReader::ReadString() {
 
 Status BinaryReader::ReadFloats(float* data, size_t count) {
   return ReadRaw(data, count * sizeof(float));
-}
-
-Status BinaryReader::ReadU32s(uint32_t* data, size_t count) {
-  return ReadRaw(data, count * sizeof(uint32_t));
 }
 
 }  // namespace seesaw

@@ -37,7 +37,6 @@ class BinaryWriter {
 
   /// Raw POD span writes (size must be communicated separately).
   Status WriteFloats(const float* data, size_t count);
-  Status WriteU32s(const uint32_t* data, size_t count);
 
   /// Flushes and closes; returns any deferred write error. Subsequent writes
   /// fail. Also called by the destructor (which swallows the status).
@@ -71,7 +70,6 @@ class BinaryReader {
   StatusOr<std::string> ReadString();
 
   Status ReadFloats(float* data, size_t count);
-  Status ReadU32s(uint32_t* data, size_t count);
 
  private:
   explicit BinaryReader(std::FILE* file) : file_(file) {}

@@ -40,17 +40,18 @@ struct PatchLabel {
 ///    for the predicted batch to be fully labeled, then runs the *aligner*
 ///    speculatively on the feedback received (a cloned snapshot, so the live
 ///    session is never touched) and launches the scan with the predicted
-///    post-refit query. The real Refit() adopts that fit instead of fitting
-///    again whenever the snapshot is still the aligner's live fit state
-///    (same fit generation and warm start); otherwise it fits locally. The
-///    scan is consumed when the refit's query is bitwise the prediction.
+///    post-refit query. The real Refit() adopts that fit whenever the
+///    snapshot is still the aligner's live fit state (same fit generation
+///    and warm start), and the adoption is what makes the scan consumable;
+///    a refused fit cancels the speculation and Refit() fits locally.
 ///
 /// Any deviation — feedback outside the predicted batch, extra soft
-/// feedback, changed aligner options, a refit landing on different bits —
-/// cancels the speculation (mid-scan, via store::ScanControl) and NextBatch
-/// recomputes synchronously. Results are bitwise identical to the
-/// non-speculative path in all cases: an adopted fit is the fit Align()
-/// would run, by the aligner's determinism contract (core/aligner.h).
+/// feedback, changed aligner options, a direct Align() — cancels the
+/// speculation (mid-scan, via store::ScanControl) and NextBatch recomputes
+/// synchronously. Results are bitwise identical to the non-speculative
+/// path in all cases: an adopted fit is the fit Align() would run, by the
+/// aligner's determinism contract (core/aligner.h), and a consumed scan is
+/// the lookup NextBatch would run (same query bits, n and seen set).
 struct PrefetchPolicy {
   bool enabled = false;
   /// Maximum speculations in flight across all sessions sharing one
@@ -128,11 +129,12 @@ struct PrefetchStats {
   size_t refit_fits = 0;       ///< Speculative aligner fits launched.
   size_t refit_adopted = 0;    ///< Refits that installed the speculative fit
                                ///< instead of running their own.
-  size_t refit_matches = 0;    ///< Refits landing bitwise on the predicted
-                               ///< query (the speculative scan survives).
-  size_t refit_mismatches = 0; ///< Armed fits discarded at refit time (state
+  size_t refit_matches = 0;    ///< Equals refit_adopted (an adoption is
+                               ///< what keeps the speculative scan); kept
+                               ///< for the benchmark's readers.
+  size_t refit_mismatches = 0; ///< Armed fits refused at refit time (state
                                ///< diverged between arm and Refit, or the
-                               ///< speculative fit failed).
+                               ///< speculative fit failed or was cancelled).
   size_t hits_post_refit = 0;  ///< Subset of `hits` whose scan ran with a
                                ///< predicted post-refit query.
 };
@@ -149,24 +151,27 @@ struct PrefetchStats {
 /// the aligner state, and only meet the searcher again through TaskHandles,
 /// so feedback can mutate the live state while a speculation is in flight.
 ///
-/// Refit-speculation state machine (one speculation at a time):
+/// Speculation lifecycle (one speculation at a time; its stage is read from
+/// its handles — no scan handle yet: waiting for labels; a fit handle: the
+/// scan's query comes from a speculative fit):
 ///
-///   NextBatch ── same-query policy ──▶ [kScan: scan(current query)]
-///       │
-///       └── refit policy ──▶ [kAwaitLabels]
-///                                │ last predicted image labeled ("armed")
-///                                ▼
-///                     [kFitScan: fit(cloned aligner) → scan(predicted q)]
-///                                │ Refit(): adopts the fit if its state is
-///                                │ live; aligned == predicted (bitwise)
-///                                ▼
-///                     [blessed: consumable by the next NextBatch]
+///   NextBatch ── SchedulePrefetch(q, no aligner) ──▶ Arm: scan(q)
+///       │                                              [consumable]
+///       └── SchedulePrefetch(aligner) ──▶ [waiting for labels]
+///                                           │ last predicted image labeled
+///                                           ▼
+///                           Arm: fit(cloned aligner) → scan(predicted q)
+///                                           │ Refit(): TakeSpeculativeFit
+///                                           │ adopts (its key is live)
+///                                           ▼
+///                                      [consumable]
 ///
-/// Exits from every state: feedback outside the predicted batch, a refit
-/// whose query lands on different bits, a changed lookup (n / query /
-/// generation) at consume time — each cancels the speculation (the token
-/// stops the scan at its next in-scan checkpoint) and the caller recomputes
-/// synchronously.
+/// NextBatch consumes a consumable speculation whose query bits, n and
+/// predicted seen set equal the live lookup. Every other exit cancels it —
+/// feedback outside the predicted batch, a refused adoption, a query-moving
+/// refit while labels are still pending, a mismatch at consume time — the
+/// token stops the scan at its next in-scan checkpoint, and the caller
+/// recomputes synchronously.
 class SearcherBase : public Searcher {
  public:
   explicit SearcherBase(const EmbeddedDataset& embedded);
@@ -175,7 +180,6 @@ class SearcherBase : public Searcher {
   ~SearcherBase() override;
 
   const EmbeddedDataset& embedded() const { return *embedded_; }
-  size_t num_seen() const { return seen_images_.count(); }
   bool IsSeen(uint32_t image_idx) const { return seen_images_.Test(image_idx); }
 
   /// Worker pool for sharded store lookups and speculative prefetch; null
@@ -186,7 +190,8 @@ class SearcherBase : public Searcher {
   ThreadPool* thread_pool() const { return pool_; }
 
   /// Speculation policy; subclasses opt in by calling SchedulePrefetch /
-  /// SchedulePrefetchAfterRefit / TakePrefetched from their NextBatch.
+  /// TakePrefetched from their NextBatch (and TakeSpeculativeFit from their
+  /// Refit when the query moves).
   void set_prefetch_policy(const PrefetchPolicy& policy) {
     prefetch_policy_ = policy;
   }
@@ -202,7 +207,8 @@ class SearcherBase : public Searcher {
  protected:
   /// Marks an image (and all of its patch vectors) as shown/labeled.
   /// Invalidates an in-flight speculation when the image deviates from the
-  /// predicted batch; arms a pending refit speculation when it completes it.
+  /// predicted batch; arms a speculation waiting for labels when it
+  /// completes the batch.
   void MarkSeen(uint32_t image_idx);
 
   /// Top-n unseen images by max patch score under `query` (best first).
@@ -210,55 +216,47 @@ class SearcherBase : public Searcher {
   /// found or the store is exhausted.
   std::vector<ScoredImage> TopImages(linalg::VecSpan query, size_t n) const;
 
-  /// Schedules a same-query speculative TopImages for the *next* batch on
-  /// the pool: same query and n, seen sets snapshotted as if every image of
-  /// `batch` had been labeled. For searchers whose refit never moves the
-  /// query (zero-shot). No-op when the policy is off, the pool is null, the
-  /// batch is empty (store exhausted), or the shared budget is spent.
+  /// Schedules a speculative TopImages for the *next* batch: same n, seen
+  /// sets predicted as if every image of `batch` had been labeled.
+  ///
+  /// A null `aligner` predicts that the query will not move (zero-shot), so
+  /// the scan of `query` starts now. Otherwise the scan query is unknown
+  /// until the aligner runs and `query` is unused: the speculation waits
+  /// until every image of `batch` has been labeled, then snapshots
+  /// `aligner` on the searcher's thread and launches a fit → scan pipeline
+  /// on the pool; `aligner` is the searcher's own and must stay alive while
+  /// the speculation waits. The shared budget is charged when the work is
+  /// submitted, when CPU is actually about to burn. No-op when the policy is
+  /// off, the pool is null, the batch is empty (store exhausted) or, with an
+  /// aligner, holds no unseen image; dropped when the budget is spent.
   void SchedulePrefetch(linalg::VecSpan query,
-                        const std::vector<ScoredImage>& batch, size_t n);
+                        const std::vector<ScoredImage>& batch, size_t n,
+                        const QueryAligner* aligner);
 
-  /// Schedules a through-the-refit speculation: the same seen-set prediction
-  /// as SchedulePrefetch, but the scan query is unknown until the aligner
-  /// runs. The speculation idles (kAwaitLabels) until every image of `batch`
-  /// has been labeled; at that moment `aligner` is snapshotted on the
-  /// searcher's thread, the shared budget is charged, and a fit → scan
-  /// pipeline launches on the pool. CommitRefit later decides consume vs
-  /// cancel. No-op under the same conditions as SchedulePrefetch (the budget
-  /// is checked at arm time, when CPU is actually about to burn). `aligner`
-  /// is the searcher's own and must stay alive while the speculation waits
-  /// for labels.
-  void SchedulePrefetchAfterRefit(const std::vector<ScoredImage>& batch,
-                                  size_t n, const QueryAligner& aligner);
-
-  /// Refit's adoption path. When an armed speculative fit was computed from
+  /// Refit's commit. When the armed speculative fit was computed from
   /// `live_key` (the aligner's fit state now), waits for it — claiming it if
-  /// it is still queued — and hands over its outcome for
-  /// QueryAligner::Adopt. Returns nullopt when there is no armed fit, it
-  /// failed or was cancelled, or the state moved since arm time; the caller
-  /// then fits locally. Call before CommitRefit, which still compares bits.
+  /// it is still queued — marks the speculation consumable and hands the fit
+  /// over for QueryAligner::Adopt. Otherwise a speculation with a fit stage
+  /// is cancelled (the fit failed or was cancelled, or the state moved since
+  /// arm time) and nullopt tells the caller to fit locally.
   std::optional<AlignerFit> TakeSpeculativeFit(const AlignerFitKey& live_key);
 
-  /// Subclasses call this from Refit() with the freshly aligned query after
-  /// updating their live query vector (`query_moved` = the vector changed
-  /// bitwise). Bumps the lookup generation on a move, and reconciles any
-  /// armed refit speculation: waits for the speculative fit (not the scan),
-  /// compares bitwise, and either blesses the speculation to survive the
-  /// query move — the next NextBatch can then consume its scan — or cancels
-  /// it. Safe to call with no speculation pending (plain generation bump).
-  void CommitRefit(linalg::VecSpan refit_query, bool query_moved);
-
-  /// Consumes the speculation if it exactly matches the requested lookup
-  /// (generation, query bits, n, and the live seen set all unchanged from
-  /// the prediction); otherwise cancels it and returns nullopt, and the
-  /// caller computes synchronously. A valid consume waits for the task
-  /// (running it here if no worker has started it) and returns its result,
-  /// which is bitwise identical to what TopImages would return now.
+  /// Consumes the speculation if it is consumable and exactly matches the
+  /// requested lookup (query bits, n, and the live seen set all equal to the
+  /// prediction); otherwise cancels it and returns nullopt, and the caller
+  /// computes synchronously. A valid consume waits for the task (running it
+  /// here if no worker has started it) and returns its result, which is
+  /// bitwise identical to what TopImages would return now.
   std::optional<std::vector<ScoredImage>> TakePrefetched(linalg::VecSpan query,
                                                          size_t n);
 
   /// Cancels and forgets any in-flight speculation.
   void InvalidatePrefetch();
+
+  /// Cancels a speculation still waiting for labels, which has submitted
+  /// nothing yet. Refit() calls it when the query moved without an
+  /// adoption: the pending prediction assumed the pre-refit query.
+  void InvalidatePendingPrefetch();
 
   /// Converts image feedback to patch labels: for a relevant image, patches
   /// overlapping any feedback box are positive and the rest negative; for an
@@ -268,15 +266,6 @@ class SearcherBase : public Searcher {
   std::vector<PatchLabel> LabelPatches(const ImageFeedback& feedback) const;
 
  private:
-  /// Lifecycle of the single speculation slot (see the class comment).
-  enum class SpecStage {
-    kScan,         ///< Scan in flight with a known (unmoved) query.
-    kAwaitLabels,  ///< Refit speculation waiting for the batch's labels;
-                   ///< nothing submitted, no budget held.
-    kFitScan,      ///< Fit → scan pipeline in flight with the predicted
-                   ///< post-refit query.
-  };
-
   /// Everything a speculative task reads or writes, shared between the
   /// searcher and the pool tasks so the tasks never dereference the searcher
   /// (which may be mutated or destroyed while they run).
@@ -287,31 +276,28 @@ class SearcherBase : public Searcher {
   /// completion is published under the handle's mutex with release/acquire
   /// semantics — see TaskHandle::State::done). Concretely:
   ///  - query/n/seen_patches/snapshot: written on the searcher's thread
-  ///    before the task is submitted (Submit's queue mutex orders the
-  ///    hand-off); for a kFitScan speculation, `query` is re-written by the
-  ///    fit task and only read after fit_handle.Wait(), and `snapshot` is
-  ///    read and then reset by the fit task alone.
-  ///  - fit_ok/fit: written by the fit task, read after fit_handle.Wait().
-  ///    Only the searcher's thread reads `fit` (TakeSpeculativeFit moves it
-  ///    out); the scan task reads `query` and `fit_ok`, never `fit`.
+  ///    before the tasks are submitted (Submit's queue mutex orders the
+  ///    hand-off). With a fit stage, `query` is instead written by the fit
+  ///    task, on success only, and read only after fit_handle.Wait();
+  ///    `snapshot` is read and then reset by the fit task alone.
+  ///  - fit: written by the fit task, read after fit_handle.Wait(), and only
+  ///    on the searcher's thread (TakeSpeculativeFit moves it out); the scan
+  ///    task reads `query`, never `fit`.
   ///  - result: written by the scan task, read after handle.Wait().
   ///  - cancel / budget_released: atomics; safe from any thread at any time.
   /// The thread-safety analysis cannot check handle-ordered hand-offs (it
   /// only knows capabilities), which is exactly why this struct keeps the
   /// explicit per-field contract above and the TSan leg keeps running.
   struct SpecTask {
-    linalg::VectorF query;        // lookup query: snapshotted at schedule for
-                                  // kScan; written by the fit task for
-                                  // kFitScan (read only after its handle)
+    linalg::VectorF query;        // the scan's query; empty after a failed
+                                  // fit (the scan then does nothing)
     store::SeenSet seen_patches;  // snapshot incl. the predicted batch
     size_t n = 0;
     CancellationToken cancel;
     std::vector<ScoredImage> result;  // written by the scan task, read after
                                       // Wait
-    std::optional<AlignerSnapshot> snapshot;  // set at arm time (kFitScan
+    std::optional<AlignerSnapshot> snapshot;  // set at arm time (fit stage
                                               // only), reset by the fit task
-    bool fit_ok = false;   // written by the fit task before its handle
-                           // completes; read after fit_handle.Wait()
     std::optional<AlignerFit> fit;  // the fit task's whole outcome, until
                                     // TakeSpeculativeFit moves it out
 
@@ -332,25 +318,21 @@ class SearcherBase : public Searcher {
   /// The searcher-side view of the single speculation slot. Every field is
   /// read and written on the searcher's thread only (one user drives one
   /// session — the class contract); pool tasks see none of this, only the
-  /// shared SpecTask above. Stage transitions (kScan / kAwaitLabels →
-  /// kFitScan → blessed) therefore need no lock: they are ordinary
-  /// single-threaded writes, and the cross-thread edges all run through
-  /// `task` and the two handles.
+  /// shared SpecTask above. Stage transitions therefore need no lock: they
+  /// are ordinary single-threaded writes, and the cross-thread edges all run
+  /// through `task` and the two handles.
   struct Speculation {
     std::shared_ptr<SpecTask> task;
     store::SeenSet seen_images;  // predicted image-level seen set
-    uint64_t expected_generation = 0;
-    SpecStage stage = SpecStage::kScan;
-    /// Whether task->query is published and safe to read/compare on the
-    /// searcher's thread: true from the start for kScan, true after
-    /// CommitRefit blessed a kFitScan speculation (its fit handle was
-    /// waited, which orders the fit task's write).
-    bool query_known = false;
-    /// Predicted-batch images not yet labeled (kAwaitLabels arming counter).
+    /// Whether task->query is published and may be consumed: true from the
+    /// start for a same-query scan, set by an adoption for a fit stage (whose
+    /// handle TakeSpeculativeFit waited, ordering the fit task's write).
+    bool consumable = false;
+    /// Predicted-batch images not yet labeled (counts down to the arm).
     size_t images_remaining = 0;
-    const QueryAligner* aligner = nullptr;  // kAwaitLabels only
-    TaskHandle fit_handle;  // kFitScan: the fit stage
-    TaskHandle handle;      // the scan (kScan, or kFitScan after the fit)
+    const QueryAligner* aligner = nullptr;  // the fit stage's source, if any
+    TaskHandle fit_handle;  // the fit stage; empty for a same-query scan
+    TaskHandle handle;      // the scan; empty while waiting for labels
   };
 
   /// The pure lookup: like TopImages but over explicit inputs only, so it
@@ -361,21 +343,11 @@ class SearcherBase : public Searcher {
       size_t n, const store::SeenSet& seen_patches,
       const CancellationToken* cancel);
 
-  /// Shared head of both Schedule entry points: supersedes the current
-  /// speculation and prunes finished stale handles. Returns false when the
-  /// policy/pool/batch preconditions rule speculation out.
-  bool BeginSchedule(const std::vector<ScoredImage>& batch);
-
-  /// Builds the shared speculation skeleton: the task snapshot (seen patches
-  /// + predicted batch patches), the predicted image seen set, and the
-  /// number of genuinely new images in the batch.
-  Speculation MakeSpeculation(const std::vector<ScoredImage>& batch, size_t n,
-                              size_t* new_images);
-
-  /// kAwaitLabels → kFitScan: snapshots the aligner (on the calling =
-  /// searcher's thread), charges the budget, and launches the fit → scan
-  /// pipeline.
-  void ArmPredictedFit();
+  /// Submits the current speculation's work: charges the budget, snapshots
+  /// the aligner and submits the fit when there is one, then submits the
+  /// scan. Drops the speculation when the pool or policy went away since
+  /// schedule time or the budget is spent.
+  void Arm();
 
   /// Cancels the speculation's tasks (if any), returns its budget slot and
   /// parks its handles for the destructor to drain.
@@ -389,10 +361,6 @@ class SearcherBase : public Searcher {
   PrefetchPolicy prefetch_policy_;
   PrefetchBudget* budget_ = nullptr;
   PrefetchStats prefetch_stats_;
-  /// Bumped by every state change that can affect a lookup (MarkSeen, query
-  /// moves committed via CommitRefit); a speculation predicts the generation
-  /// at its consume point.
-  uint64_t generation_ = 0;
   std::optional<Speculation> spec_;
   /// Handles of cancelled speculations that may still be running a scan
   /// round. Kept so the destructor can drain them: a task must never

@@ -34,11 +34,8 @@ std::vector<ScoredImage> SeeSawSearcher::NextBatch(size_t n) {
   // speculate through the refit instead — once this batch is fully labeled,
   // the aligner runs on a cloned snapshot of the feedback received and the
   // scan launches with the predicted post-refit query.
-  if (!options_.update_query) {
-    SchedulePrefetch(linalg::VecSpan(query_), batch, n);
-  } else {
-    SchedulePrefetchAfterRefit(batch, n, *aligner_);
-  }
+  SchedulePrefetch(linalg::VecSpan(query_), batch, n,
+                   options_.update_query ? aligner_.get() : nullptr);
   return batch;
 }
 
@@ -66,22 +63,19 @@ Status SeeSawSearcher::Refit() {
   }
   // Adopt the speculative fit when it was computed from exactly the live fit
   // state: it is then bit for bit the fit Align() would run (determinism
-  // contract, core/aligner.h), so fitting again would only burn CPU.
+  // contract, core/aligner.h), so fitting again would only burn CPU, and its
+  // background scan is already computing the next batch.
   linalg::VectorF aligned;
   if (std::optional<AlignerFit> fit =
           TakeSpeculativeFit(aligner_->fit_key())) {
     aligned = aligner_->Adopt(*std::move(fit));
   } else {
     SEESAW_ASSIGN_OR_RETURN(aligned, aligner_->Align());
+    // TakeSpeculativeFit has already cancelled a refused fit; a moved query
+    // also falsifies a prediction still waiting for labels.
+    if (aligned != query_) InvalidatePendingPrefetch();
   }
-  const bool moved = aligned != query_;
-  if (moved) query_ = std::move(aligned);
-  // Reconcile the refit with any speculation: a same-query speculation
-  // survives only an unmoved query; a speculative refit survives exactly
-  // when this refit landed bitwise on its predicted query (always, after an
-  // adoption), in which case the background scan is already computing the
-  // next batch.
-  CommitRefit(linalg::VecSpan(query_), moved);
+  query_ = std::move(aligned);
   refitted_generation_ = aligner_->fit_generation();
   return Status::OK();
 }

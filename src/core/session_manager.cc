@@ -164,14 +164,6 @@ void SessionManager::ReleaseUserSlot(const std::string& user) {
   if (--it->second == 0) user_sessions_.erase(it);
 }
 
-std::vector<SessionId> SessionManager::LiveSessions() const {
-  MutexLock lock(mu_);
-  std::vector<SessionId> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [id, _] : sessions_) ids.push_back(id);
-  return ids;
-}
-
 size_t SessionManager::num_sessions() const {
   MutexLock lock(mu_);
   return sessions_.size();

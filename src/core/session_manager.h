@@ -198,9 +198,6 @@ class SessionManager {
   /// one drops.
   Status Close(SessionId id) SEESAW_EXCLUDES(mu_);
 
-  /// Ids of all live sessions (snapshot, unordered).
-  std::vector<SessionId> LiveSessions() const SEESAW_EXCLUDES(mu_);
-
   size_t num_sessions() const SEESAW_EXCLUDES(mu_);
 
   /// Live sessions registered under `user` (quota diagnostics).

@@ -136,9 +136,6 @@ class Dataset {
 
   const DatasetProfile& profile() const { return profile_; }
   const clip::ConceptSpace& space() const { return *space_; }
-  std::shared_ptr<const clip::ConceptSpace> space_ptr() const {
-    return space_;
-  }
   const clip::SyntheticClip& model() const { return *model_; }
 
   size_t num_images() const { return images_.size(); }

@@ -108,27 +108,6 @@ BenchmarkRun RunBenchmark(const SearcherFactory& factory,
   return run;
 }
 
-BenchmarkRun RunBenchmarkParallel(const SearcherFactory& factory,
-                                  const data::Dataset& dataset,
-                                  const std::vector<size_t>& concepts,
-                                  const TaskOptions& options,
-                                  size_t num_threads) {
-  BenchmarkRun run;
-  run.concepts = concepts;
-  run.results.resize(concepts.size());
-  ThreadPool pool(num_threads == 0 ? ThreadPool::DefaultThreads()
-                                   : num_threads);
-  pool.ParallelFor(concepts.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      auto searcher = factory(concepts[i]);
-      SEESAW_CHECK(searcher != nullptr);
-      run.results[i] =
-          RunSearchTask(*searcher, dataset, concepts[i], options);
-    }
-  });
-  return run;
-}
-
 BenchmarkRun RunManagedBenchmark(core::SeeSawService& service,
                                  const data::Dataset& dataset,
                                  const std::vector<size_t>& concepts,

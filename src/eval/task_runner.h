@@ -88,15 +88,6 @@ BenchmarkRun RunBenchmark(const SearcherFactory& factory,
                           const std::vector<size_t>& concepts,
                           const TaskOptions& options);
 
-/// Like RunBenchmark, but tasks run concurrently on `num_threads` workers
-/// (0 = hardware default) — one independent session per concept, results in
-/// concept order. `factory` must be callable from multiple threads at once.
-BenchmarkRun RunBenchmarkParallel(const SearcherFactory& factory,
-                                  const data::Dataset& dataset,
-                                  const std::vector<size_t>& concepts,
-                                  const TaskOptions& options,
-                                  size_t num_threads = 0);
-
 /// Runs the task for every concept through `service.sessions()`: each task
 /// opens a managed session (by the concept's text query), drives it with
 /// ground-truth feedback, and closes it — tasks run concurrently from

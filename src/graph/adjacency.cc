@@ -51,8 +51,6 @@ SparseMatrixF GaussianAdjacency(const KnnGraph& graph, double sigma) {
   return SparseMatrixF::FromTriplets(n, n, std::move(triplets));
 }
 
-VectorF Degrees(const SparseMatrixF& w) { return w.RowSums(); }
-
 SparseMatrixF Laplacian(const SparseMatrixF& w) {
   SEESAW_CHECK_EQ(w.rows(), w.cols());
   const size_t n = w.rows();

@@ -25,9 +25,6 @@ double MedianNeighborDistance(const KnnGraph& graph);
 /// faithful to "similarity" semantics).
 linalg::SparseMatrixF GaussianAdjacency(const KnnGraph& graph, double sigma);
 
-/// Degree vector: d_i = sum_j w_ij.
-linalg::VectorF Degrees(const linalg::SparseMatrixF& w);
-
 /// Unnormalized graph Laplacian L = D - W as a sparse matrix.
 linalg::SparseMatrixF Laplacian(const linalg::SparseMatrixF& w);
 

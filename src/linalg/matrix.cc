@@ -94,12 +94,6 @@ void MatrixF::AddOuterProduct(float alpha, VecSpan u, VecSpan v) {
   }
 }
 
-void MatrixF::AddScaled(float alpha, const MatrixF& other) {
-  SEESAW_CHECK_EQ(rows_, other.rows_);
-  SEESAW_CHECK_EQ(cols_, other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
-}
-
 void MatrixF::ScaleBy(float alpha) {
   for (float& v : data_) v *= alpha;
 }

@@ -66,9 +66,6 @@ class MatrixF {
   /// M += alpha * u v^T (u has rows() entries, v has cols() entries).
   void AddOuterProduct(float alpha, VecSpan u, VecSpan v);
 
-  /// M += alpha * Other (same shape).
-  void AddScaled(float alpha, const MatrixF& other);
-
   /// Scales every entry by alpha.
   void ScaleBy(float alpha);
 

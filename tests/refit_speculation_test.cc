@@ -390,6 +390,42 @@ TEST(RefitSpeculationDivergenceTest, DirectAlignBetweenArmAndRefitRefusesAdoptio
   EXPECT_EQ(stats.refit_fits, stats.refit_matches + stats.refit_mismatches);
 }
 
+TEST(RefitSpeculationDivergenceTest, RefusedAdoptionCancelsEvenWhenTheLocalFitMatches) {
+  // Adoption is the only commit. Re-setting the aligner's options to the
+  // values it already holds bumps the fit generation, so Refit() refuses the
+  // armed fit; the local fit then lands on exactly the predicted bits (same
+  // options, feedback and warm start), yet the speculation is cancelled and
+  // the next batch is recomputed, equal to the baseline's.
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
+  ThreadPool pool(3);
+  LockstepPair pair(f, 0, &pool, SpeculatingOptions(true));
+  ASSERT_TRUE(pair.DriveRound(6, {}, 0));
+  RoundScript no_refit;
+  no_refit.refit = false;
+  ASSERT_TRUE(pair.DriveRound(6, no_refit, 1));
+  ASSERT_EQ(pair.speculating.prefetch_stats().refit_fits, 2u);
+  const AlignerOptions same = pair.baseline.aligner().options();
+  pair.baseline.mutable_aligner().set_options(same);
+  pair.speculating.mutable_aligner().set_options(same);
+  const PrefetchStats before = pair.speculating.prefetch_stats();
+  ASSERT_TRUE(pair.baseline.Refit().ok());
+  ASSERT_TRUE(pair.speculating.Refit().ok());
+  EXPECT_EQ(pair.speculating.current_query(), pair.baseline.current_query());
+  ExpectSameFitState(pair);
+  EXPECT_EQ(pair.speculating.prefetch_stats().refit_mismatches,
+            before.refit_mismatches + 1);
+  EXPECT_EQ(pair.speculating.prefetch_stats().refit_adopted,
+            before.refit_adopted);
+  // Cancelled at the refit, mid-scan, not left to miss at consume time.
+  EXPECT_EQ(pair.speculating.prefetch_stats().invalidated,
+            before.invalidated + 1);
+  // The next batch is recomputed, not served from the cancelled scan.
+  ASSERT_TRUE(pair.DriveRound(6, {}, 2));
+  EXPECT_EQ(pair.speculating.prefetch_stats().hits_post_refit,
+            before.hits_post_refit);
+  ExpectSameFitState(pair);
+}
+
 TEST(RefitSpeculationDivergenceTest, CancelledFitFallsBackToLocalFit) {
   // The batch is fully labeled, so the fit arms; then feedback on an image
   // outside the batch cancels the speculation before Refit(). Refit() has
