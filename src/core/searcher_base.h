@@ -190,8 +190,8 @@ class SearcherBase : public Searcher {
   ThreadPool* thread_pool() const { return pool_; }
 
   /// Speculation policy; subclasses opt in by calling SchedulePrefetch /
-  /// TakePrefetched from their NextBatch (and TakeSpeculativeFit from their
-  /// Refit when the query moves).
+  /// TakePrefetched from their NextBatch and TakeSpeculativeFit /
+  /// InvalidatePendingPrefetch from their Refit.
   void set_prefetch_policy(const PrefetchPolicy& policy) {
     prefetch_policy_ = policy;
   }
