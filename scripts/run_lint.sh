@@ -2,7 +2,8 @@
 # run_lint.sh — the three static layers of the correctness tooling, in order
 # of cost:
 #
-#   1. scripts/check_invariants.py   — SeeSaw-specific contracts (no deps)
+#   1. scripts/check_invariants.py   — SeeSaw-specific contracts (no deps),
+#      plus scripts/stamp_bench_meta.py --self-test (BENCH provenance stamp)
 #   2. clang -Wthread-safety -Werror — lock-discipline build over src/
 #   3. clang-tidy                    — bugprone/concurrency/performance checks
 #
@@ -31,6 +32,7 @@ done
 echo "=== Invariant linter (scripts/check_invariants.py) ==="
 python3 scripts/check_invariants.py --self-test
 python3 scripts/check_invariants.py
+python3 scripts/stamp_bench_meta.py --self-test
 
 if [[ "$INVARIANTS_ONLY" == 1 ]]; then
   echo "run_lint: invariants-only mode, skipping clang layers."

@@ -10,7 +10,8 @@
 #   3. writes the gate's JSON (perceived-latency percentiles, shed rate,
 #      churn) to --out (default: BENCH_serving.json in the repo root — in CI
 #      that is the uploaded artifact, locally it overwrites the committed
-#      baseline only if you point it there).
+#      baseline only if you point it there), stamped with the host and the
+#      commit by scripts/stamp_bench_meta.py.
 #
 # The server and the bench must agree on --scale/--dim: both generate the
 # same deterministic dataset, which is what makes wire-vs-in-process parity
@@ -87,5 +88,6 @@ echo "== server up on 127.0.0.1:$PORT; running gate ==" >&2
     --sessions="$SESSIONS" --rounds="$ROUNDS" \
     --scale="$SCALE" --dim="$DIM" \
     --connect="127.0.0.1:$PORT" > "$OUT"
+python3 "$SCRIPT_DIR/stamp_bench_meta.py" "$OUT"
 
 echo "serving gate passed; JSON written to $OUT" >&2
